@@ -16,13 +16,17 @@
 //! configuration reruns with `fred_telemetry::prof` enabled and must
 //! keep ≥ 95% of the unprofiled events/s (best paired ratio over
 //! interleaved runs, measured in-process so machine speed cancels
-//! out) — once single-threaded, once on the sharded engine at two
-//! worker threads, where the thread-local scope timers drain at the
-//! shard barriers.
+//! out) — once single-threaded, once on the DSE sweep at two worker
+//! threads, where the thread-local scope timers drain at every chunk
+//! join.
 
-use fred_bench::churn::{run_churn, run_churn_sharded, ChurnConfig, ShardChurnConfig};
+use std::time::Instant;
+
+use fred_bench::churn::{run_churn, ChurnConfig};
 use fred_bench::table::Table;
 use fred_bench::traceopt::TraceOpts;
+use fred_dse::{run_sweep, RunOpts, SweepSpec};
+use fred_sim::netsim::global_events_processed;
 use fred_telemetry::prof;
 
 const CONFIGS: [ChurnConfig; 2] = [
@@ -141,24 +145,27 @@ fn main() {
     opts.metric("profiled_events_per_sec_ratio", ratio);
 
     // Same budget across worker threads: scope timers are
-    // thread-local and drained at the shard barriers
-    // (`prof::flush_thread`), so the aggregation must not cost more
-    // than the 5% single-threaded bound either. Uses the sharded
-    // engine at 2 workers — the aggregation path only exists there.
-    // Runs are sized so scheduler noise (worker threads time-slicing
-    // on oversubscribed CI hosts) is small against the run length, and
-    // the sample budget is deeper than the single-threaded check's for
-    // the same reason.
-    let sharded_cfg = ShardChurnConfig {
-        side: 16,
-        tiles: 2,
-        flows_per_tile: 2048,
-        concurrency_per_tile: 32,
-        locality: 4,
-        seed: 0x50_1BE4CA,
+    // thread-local and the DSE sweep's workers drain them into the
+    // process-wide table before every chunk join (`prof::flush_thread`),
+    // so the aggregation must not cost more than the 5%
+    // single-threaded bound either. The full capacity-planning sweep
+    // on 2 workers is sized so scheduler noise (worker threads
+    // time-slicing on oversubscribed CI hosts) is small against the
+    // run length; events/s counts every flow lifecycle event the
+    // workers process.
+    let spec = SweepSpec::full();
+    let sweep_events_per_sec = || {
+        let events = global_events_processed();
+        let started = Instant::now();
+        let threaded = RunOpts {
+            threads: 2,
+            ..RunOpts::default()
+        };
+        run_sweep(&spec, &threaded).expect("checkpoint-free sweep cannot fail");
+        (global_events_processed() - events) as f64 / started.elapsed().as_secs_f64()
     };
     prof::set_enabled(false);
-    run_churn_sharded(&sharded_cfg, 2); // warm-up
+    sweep_events_per_sec(); // warm-up
     let (mut plain, mut profiled) = (0.0f64, 0.0f64);
     let mut ratio = 0.0f64;
     for _ in 0..16 {
@@ -168,9 +175,9 @@ fn main() {
         // profiled/unprofiled pair sees the same host conditions and
         // the drift cancels.
         prof::set_enabled(false);
-        let p = run_churn_sharded(&sharded_cfg, 2).events_per_sec();
+        let p = sweep_events_per_sec();
         prof::set_enabled(true);
-        let q = run_churn_sharded(&sharded_cfg, 2).events_per_sec();
+        let q = sweep_events_per_sec();
         plain = plain.max(p);
         profiled = profiled.max(q);
         ratio = ratio.max(q / p);
@@ -180,7 +187,7 @@ fn main() {
     }
     prof::set_enabled(was_enabled);
     println!(
-        "profiler overhead (sharded, 2 threads): {:.0} ev/s unprofiled vs \
+        "profiler overhead (DSE sweep, 2 threads): {:.0} ev/s unprofiled vs \
          {:.0} ev/s profiled ({:.1}% of baseline)",
         plain,
         profiled,
@@ -188,11 +195,11 @@ fn main() {
     );
     assert!(
         ratio >= 0.95,
-        "profiler overhead exceeds the 5% budget on the sharded engine: \
+        "profiler overhead exceeds the 5% budget across worker threads: \
          profiled run reached only {:.1}% of unprofiled events/s",
         ratio * 100.0
     );
-    opts.metric("sharded_profiled_events_per_sec_ratio", ratio);
+    opts.metric("threaded_profiled_events_per_sec_ratio", ratio);
 
     opts.finish();
 }

@@ -21,11 +21,11 @@
 //! * `--prof` — enable the host-side self-profiler; its site table
 //!   lands in the report (`prof` section), the Prometheus output and
 //!   the dashboard;
-//! * `--threads <n>` — worker threads for binaries that run the
-//!   sharded simulator ([`ShardedNetwork`](fred_sim::shard::ShardedNetwork));
-//!   `0`/absent defers to the `FRED_THREADS` environment variable.
-//!   Results are bit-identical at every thread count — this is purely
-//!   a wall-clock knob;
+//! * `--threads <n>` — worker threads for binaries that evaluate
+//!   independent simulations in parallel (`dse_sweep`); `0`/absent
+//!   defers to the `FRED_THREADS` environment variable. Results are
+//!   bit-identical at every thread count — this is purely a
+//!   wall-clock knob;
 //! * `--snapshot-at <secs>` — for binaries with a resumable
 //!   simulation: capture a [`SimState`](fred_core::snapshot::SimState)
 //!   snapshot at the last event at or before `<secs>` simulated
@@ -240,11 +240,11 @@ impl TraceOpts {
         self.restore_path.as_ref()
     }
 
-    /// Worker-thread count for sharded simulations: the `--threads N`
+    /// Worker-thread count for parallel sweeps: the `--threads N`
     /// argument, or `0` when absent — which tells
-    /// [`ShardedNetwork`](fred_sim::shard::ShardedNetwork) to consult
-    /// the `FRED_THREADS` environment variable and fall back to
-    /// single-threaded. Pass this value straight through.
+    /// [`fred_dse::run_sweep`] to consult the `FRED_THREADS`
+    /// environment variable and fall back to single-threaded. Pass
+    /// this value straight through.
     pub fn threads(&self) -> usize {
         self.threads
     }

@@ -11,6 +11,7 @@
 //! * [`cluster`] — multi-tenant cluster scheduling: concurrent jobs,
 //!   placement, bandwidth isolation and job-level SLO metrics,
 //! * [`hwmodel`] — area/power/wafer-budget/I/O-hotspot analytics,
+//! * [`dse`] — design-space-exploration sweeps and Pareto extraction,
 //! * [`telemetry`] — trace events, ring-buffer recording, Perfetto
 //!   export and link-utilization metrics.
 //!
@@ -20,6 +21,7 @@
 pub use fred_cluster as cluster;
 pub use fred_collectives as collectives;
 pub use fred_core as core;
+pub use fred_dse as dse;
 pub use fred_hwmodel as hwmodel;
 pub use fred_mesh as mesh;
 pub use fred_sim as sim;
