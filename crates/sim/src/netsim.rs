@@ -105,6 +105,57 @@ struct ActiveFlow {
     generation: u64,
     injected_at: Time,
     latency: Duration,
+    ledger: ByteLedger,
+}
+
+impl ActiveFlow {
+    /// Debits `moved` bytes sent since the last settlement.
+    fn debit(&mut self, moved: f64) {
+        self.remaining -= moved;
+        self.ledger.settle(moved);
+    }
+}
+
+/// Debug-build byte ledger of one flow: the bytes it held when it
+/// entered this network (at injection, or at restore for a revived
+/// flow) and the bytes debited from it since. Eviction asserts
+/// conservation — entered = settled + returned — so a debit that skips
+/// `remaining`, or counts bytes twice, fails every debug test run.
+/// Release builds compile it to a zero-sized no-op.
+#[derive(Debug, Clone, Copy)]
+struct ByteLedger {
+    #[cfg(debug_assertions)]
+    entered: f64,
+    #[cfg(debug_assertions)]
+    settled: f64,
+}
+
+impl ByteLedger {
+    fn new(_bytes: f64) -> ByteLedger {
+        ByteLedger {
+            #[cfg(debug_assertions)]
+            entered: _bytes,
+            #[cfg(debug_assertions)]
+            settled: 0.0,
+        }
+    }
+
+    fn settle(&mut self, _moved: f64) {
+        #[cfg(debug_assertions)]
+        {
+            self.settled += _moved;
+        }
+    }
+
+    fn assert_conserved(&self, _returned: f64) {
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            (self.settled + _returned - self.entered).abs() <= 1e-9 * self.entered.max(1.0),
+            "byte conservation: entered {} != settled {} + returned {_returned}",
+            self.entered,
+            self.settled,
+        );
+    }
 }
 
 /// A flow forcibly removed from the network by [`FlowNetwork::fail_link`]
@@ -301,6 +352,10 @@ pub struct FlowNetwork {
     link_alloc: Vec<f64>,
     /// Reusable buffer for the changed-flow keys of a refill.
     changed_scratch: Vec<FlowKey>,
+    /// Clock at the last settlement point (debug builds assert it
+    /// never runs backwards).
+    #[cfg(debug_assertions)]
+    clock_watermark: Time,
 }
 
 impl FlowNetwork {
@@ -339,6 +394,8 @@ impl FlowNetwork {
             sink,
             link_alloc: vec![0.0; n],
             changed_scratch: Vec::new(),
+            #[cfg(debug_assertions)]
+            clock_watermark: Time::ZERO,
         };
         net.record_topology();
         net
@@ -441,6 +498,7 @@ impl FlowNetwork {
             generation: 0,
             injected_at: self.now,
             latency,
+            ledger: ByteLedger::new(spec.bytes),
         };
         self.count_event();
         if self.tracing {
@@ -615,7 +673,8 @@ impl FlowNetwork {
             self.live_drains -= 1;
         }
         let moved = self.in_flight_bytes(&f);
-        f.remaining -= moved;
+        f.debit(moved);
+        f.ledger.assert_conserved(f.remaining);
         for &l in &f.links {
             self.link_bytes[l] += moved;
         }
@@ -653,6 +712,7 @@ impl FlowNetwork {
     /// Settles byte accounting and re-predicts drain times for exactly
     /// the flows whose rate changed.
     fn flush_rates(&mut self) {
+        self.assert_monotone_clock();
         if !self.solver.solve() {
             return;
         }
@@ -676,7 +736,7 @@ impl FlowNetwork {
             let dt = (now - f.updated_at).as_secs();
             if f.rate > 0.0 && dt > 0.0 {
                 let moved = (f.rate * dt).min(f.remaining);
-                f.remaining -= moved;
+                f.debit(moved);
                 for &l in &f.links {
                     self.link_bytes[l] += moved;
                 }
@@ -713,6 +773,21 @@ impl FlowNetwork {
         fred_telemetry::prof::record_value("netsim.drain_heap_depth", self.drains.len() as f64);
         self.changed_scratch = changed;
         self.maybe_compact();
+    }
+
+    /// Debug builds: asserts the clock has not moved backwards since
+    /// the last settlement point and advances the watermark.
+    fn assert_monotone_clock(&mut self) {
+        #[cfg(debug_assertions)]
+        {
+            debug_assert!(
+                self.now >= self.clock_watermark,
+                "clock ran backwards: {} < {}",
+                self.now,
+                self.clock_watermark
+            );
+            self.clock_watermark = self.now;
+        }
     }
 
     /// Rebuilds the drain heap without its lazy-deletion garbage once
@@ -833,6 +908,7 @@ impl FlowNetwork {
     /// finish within float residue of each other).
     fn settle_at(&mut self, t: Time) {
         debug_assert_eq!(t, self.now);
+        self.assert_monotone_clock();
         while let Some(&Reverse((at, _, generation, slot))) = self.drains.peek() {
             if at > self.now {
                 break;
@@ -1053,6 +1129,7 @@ impl FlowNetwork {
                     generation: f.generation,
                     injected_at: f.injected_at,
                     latency: f.latency,
+                    ledger: ByteLedger::new(f.remaining),
                 })
             })
             .collect();
@@ -1082,6 +1159,8 @@ impl FlowNetwork {
             sink,
             link_alloc: state.link_alloc,
             changed_scratch: Vec::new(),
+            #[cfg(debug_assertions)]
+            clock_watermark: state.now,
         };
         net.record_topology();
         net

@@ -20,14 +20,23 @@
 //! as the from-scratch allocator (see
 //! [`FairShareSolver::set_refill_fraction`]).
 //!
-//! The correctness contract — the foundation later PRs build on — is
-//! *rate identity*: after any sequence of deltas, [`FairShareSolver`]
-//! rates equal a from-scratch [`crate::fairshare::max_min_rates`] run
-//! over the current active set (bitwise up to float associativity;
-//! `tests/property_fairshare_incremental.rs` enforces ≤ 1e-9 relative
-//! under randomized churn). Both paths freeze links and flows in
-//! ascending-index order, so the filling arithmetic is identical
-//! operation for operation.
+//! Within a component, progressive filling picks each bottleneck from a
+//! lazy min-heap of `(share, link)` entries and freezes exactly the
+//! flows on that link's incidence list. A component of F flows over
+//! routes of P links costs O(F·P·log L) per priority class, where the
+//! scan-based allocator pays O(iterations × (L + F·P)) for L used links.
+//!
+//! The correctness contract is *rate identity*: after any sequence of
+//! deltas, [`FairShareSolver`] rates equal, bit for bit, a from-scratch
+//! [`crate::fairshare::max_min_rates`] run over the current active set
+//! (`tests/property_fairshare_incremental.rs` compares `to_bits()`
+//! under randomized, tie-heavy churn). Both pick the same bottleneck
+//! (lowest share, ties to the lowest link index), and every link loses
+//! the same share once per frozen crossing, so the order flows freeze
+//! in within one bottleneck cannot change a bit.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::flow::Priority;
 
@@ -162,10 +171,25 @@ pub struct FairShareSolver {
     epoch: u64,
     link_mark: Vec<u64>,
     flow_mark: Vec<u64>,
+    /// `epoch` once the flow's rate is fixed in the current refill.
+    frozen_mark: Vec<u64>,
+    /// `freeze_stamp` once the link is queued in `reshared`.
+    share_mark: Vec<u64>,
+    /// Bottleneck iterations since construction (stamps `share_mark`).
+    freeze_stamp: u64,
     remaining: Vec<f64>,
     counts: Vec<usize>,
     new_rate: Vec<f64>,
-    // Outputs of the last solve.
+    // Per-solve buffers, kept so a solve allocates nothing.
+    comp_flows: Vec<u32>,
+    stack: Vec<usize>,
+    classes: Vec<u8>,
+    /// Lazy min-heap of `(share_key, link)` bottleneck candidates.
+    shares: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Links whose share moved in the current bottleneck iteration.
+    reshared: Vec<usize>,
+    // Outputs of the last solve (`touched_links` doubles as the
+    // component's link list while the solve runs).
     changed: Vec<FlowKey>,
     touched_links: Vec<usize>,
     stats: SolverStats,
@@ -194,9 +218,17 @@ impl FairShareSolver {
             epoch: 0,
             link_mark: vec![0; n],
             flow_mark: Vec::new(),
+            frozen_mark: Vec::new(),
+            share_mark: vec![0; n],
+            freeze_stamp: 0,
             remaining: vec![0.0; n],
             counts: vec![0; n],
             new_rate: Vec::new(),
+            comp_flows: Vec::new(),
+            stack: Vec::new(),
+            classes: Vec::new(),
+            shares: BinaryHeap::new(),
+            reshared: Vec::new(),
             changed: Vec::new(),
             touched_links: Vec::new(),
             stats: SolverStats::default(),
@@ -284,6 +316,7 @@ impl FairShareSolver {
             None => {
                 self.flows.push(Some(flow));
                 self.flow_mark.push(0);
+                self.frozen_mark.push(0);
                 self.new_rate.push(0.0);
                 (self.flows.len() - 1) as u32
             }
@@ -413,11 +446,13 @@ impl FairShareSolver {
         // the incidence structure, aborting into a global refill when
         // the component outgrows the threshold.
         let threshold = (self.refill_fraction * self.live as f64) as usize;
-        let mut comp_links: Vec<usize> = Vec::new();
-        let mut comp_flows: Vec<u32> = Vec::new();
-        let mut stack: Vec<usize> = Vec::new();
-        for i in 0..self.seed_links.len() {
-            let l = self.seed_links[i];
+        let comp_links = &mut self.touched_links;
+        let comp_flows = &mut self.comp_flows;
+        let stack = &mut self.stack;
+        comp_links.clear();
+        comp_flows.clear();
+        stack.clear();
+        for &l in &self.seed_links {
             if self.link_mark[l] != epoch {
                 self.link_mark[l] = epoch;
                 stack.push(l);
@@ -427,8 +462,7 @@ impl FairShareSolver {
         let mut global = false;
         'bfs: while let Some(l) = stack.pop() {
             comp_links.push(l);
-            for i in 0..self.link_flows[l].len() {
-                let fk = self.link_flows[l][i];
+            for &fk in &self.link_flows[l] {
                 if self.flow_mark[fk as usize] == epoch {
                     continue;
                 }
@@ -488,7 +522,7 @@ impl FairShareSolver {
                 fred_telemetry::prof::record_value("solver.global_fallback", 1.0);
             }
         }
-        self.refill(&comp_links, &comp_flows);
+        self.refill();
         true
     }
 
@@ -559,20 +593,39 @@ impl FairShareSolver {
             epoch: state.epoch,
             link_mark: vec![0; n],
             flow_mark: vec![0; slab],
+            frozen_mark: vec![0; slab],
+            share_mark: vec![0; n],
+            freeze_stamp: 0,
             remaining: vec![0.0; n],
             counts: vec![0; n],
             new_rate: vec![0.0; slab],
+            comp_flows: Vec::new(),
+            stack: Vec::new(),
+            classes: Vec::new(),
+            shares: BinaryHeap::new(),
+            reshared: Vec::new(),
             changed: Vec::new(),
             touched_links: Vec::new(),
             stats: state.stats,
         }
     }
 
-    /// Progressive filling restricted to one component. `links` must
-    /// contain every link crossed by a flow in `flow_keys` and no link
-    /// crossed by any other flow; both slices must be sorted ascending.
-    fn refill(&mut self, links: &[usize], flow_keys: &[u32]) {
-        for &l in links {
+    /// Progressive filling restricted to one component:
+    /// `touched_links` must hold every link crossed by a flow in
+    /// `comp_flows` and no link crossed by any other flow, both sorted
+    /// ascending.
+    ///
+    /// Each bottleneck iteration pops the minimum `(share, link)` from
+    /// a lazy heap and freezes the flows on that link's incidence
+    /// list, so it costs the frozen flows' route lengths (plus a log
+    /// factor) instead of a scan over every used link and unfrozen
+    /// flow. The pick and the arithmetic match the ascending scan of
+    /// [`crate::fairshare::max_min_rates`] bit for bit: ties go to the
+    /// lowest link index, and a link loses the same `share` once per
+    /// frozen crossing whatever order the flows freeze in.
+    fn refill(&mut self) {
+        let epoch = self.epoch;
+        for &l in &self.touched_links {
             self.remaining[l] = self.capacities[l];
             debug_assert_eq!(self.counts[l], 0, "scratch counts not clean");
         }
@@ -581,82 +634,90 @@ impl FairShareSolver {
         // order — the same subsequence the old fixed `Priority::ALL`
         // walk produced (absent classes were skipped there too), so the
         // filling arithmetic is unchanged for single-tenant flow sets.
-        let mut classes: Vec<u8> = flow_keys
-            .iter()
-            .map(|&fk| {
-                self.flows[fk as usize]
-                    .as_ref()
-                    .expect("live component")
-                    .class
-            })
-            .collect();
-        classes.sort_unstable();
-        classes.dedup();
-        let mut unfrozen: Vec<u32> = Vec::new();
-        let mut used_links: Vec<usize> = Vec::new();
-        for class in classes {
-            unfrozen.clear();
-            for &fk in flow_keys {
+        self.classes.clear();
+        for &fk in &self.comp_flows {
+            let f = self.flows[fk as usize].as_ref().expect("live component");
+            self.classes.push(f.class);
+        }
+        self.classes.sort_unstable();
+        self.classes.dedup();
+        for ci in 0..self.classes.len() {
+            let class = self.classes[ci];
+            let mut unfrozen = 0usize;
+            self.reshared.clear();
+            for &fk in &self.comp_flows {
                 let f = self.flows[fk as usize].as_ref().expect("live component");
                 if f.class != class {
                     continue;
                 }
-                if f.links.is_empty() {
-                    self.new_rate[fk as usize] = f64::INFINITY;
-                    continue;
-                }
-                unfrozen.push(fk);
+                debug_assert!(!f.links.is_empty(), "node-local flow in a component");
+                unfrozen += 1;
                 for &l in f.links.iter() {
+                    if self.counts[l] == 0 {
+                        self.reshared.push(l);
+                    }
                     self.counts[l] += 1;
                 }
             }
-            if unfrozen.is_empty() {
-                continue;
-            }
-            used_links.clear();
-            used_links.extend(links.iter().copied().filter(|&l| self.counts[l] > 0));
-            while !unfrozen.is_empty() {
-                let mut bottleneck: Option<(usize, f64)> = None;
-                used_links.retain(|&l| self.counts[l] > 0);
-                for &l in &used_links {
-                    let share = (self.remaining[l].max(0.0)) / self.counts[l] as f64;
-                    if bottleneck.is_none_or(|(_, s)| share < s) {
-                        bottleneck = Some((l, share));
+            let mut heap = std::mem::take(&mut self.shares).into_vec();
+            heap.clear();
+            heap.extend(
+                self.reshared
+                    .iter()
+                    .map(|&l| Reverse((self.share_key(l), l))),
+            );
+            self.shares = BinaryHeap::from(heap);
+            while unfrozen > 0 {
+                let Some(Reverse((key, bl))) = self.shares.pop() else {
+                    break;
+                };
+                // Lazy deletion: a drained link or an outdated share.
+                if self.counts[bl] == 0 || self.share_key(bl) != key {
+                    continue;
+                }
+                let share = self.share(bl).max(0.0);
+                self.freeze_stamp += 1;
+                let stamp = self.freeze_stamp;
+                self.reshared.clear();
+                for &fk in &self.link_flows[bl] {
+                    let fk = fk as usize;
+                    let f = self.flows[fk].as_ref().expect("live incidence");
+                    // A flow crossing `bl` twice is listed twice but
+                    // freezes once.
+                    if f.class != class || self.frozen_mark[fk] == epoch {
+                        continue;
+                    }
+                    self.frozen_mark[fk] = epoch;
+                    unfrozen -= 1;
+                    self.new_rate[fk] = share;
+                    for &l in f.links.iter() {
+                        self.remaining[l] -= share;
+                        if self.remaining[l] < EPS {
+                            self.remaining[l] = 0.0;
+                        }
+                        self.counts[l] -= 1;
+                        if self.share_mark[l] != stamp {
+                            self.share_mark[l] = stamp;
+                            self.reshared.push(l);
+                        }
                     }
                 }
-                let Some((bl, share)) = bottleneck else { break };
-                let share = share.max(0.0);
-                let mut any = false;
-                unfrozen.retain(|&fk| {
-                    let f = self.flows[fk as usize].as_ref().expect("live component");
-                    if f.links.contains(&bl) {
-                        any = true;
-                        self.new_rate[fk as usize] = share;
-                        for &l in f.links.iter() {
-                            self.remaining[l] -= share;
-                            if self.remaining[l] < EPS {
-                                self.remaining[l] = 0.0;
-                            }
-                            self.counts[l] -= 1;
-                        }
-                        false
-                    } else {
-                        true
+                debug_assert_eq!(self.counts[bl], 0, "bottleneck link kept flows");
+                for &l in &self.reshared {
+                    if self.counts[l] > 0 {
+                        self.shares.push(Reverse((self.share_key(l), l)));
                     }
-                });
-                debug_assert!(any, "bottleneck link had no flows");
+                }
             }
         }
 
         // Commit: report changed rates and rebuild the allocation sums
         // of every touched link.
         self.changed.clear();
-        self.touched_links.clear();
-        self.touched_links.extend_from_slice(links);
-        for &l in links {
+        for &l in &self.touched_links {
             self.link_alloc[l] = 0.0;
         }
-        for &fk in flow_keys {
+        for &fk in &self.comp_flows {
             let f = self.flows[fk as usize].as_mut().expect("live component");
             let new = self.new_rate[fk as usize];
             if new != f.rate {
@@ -667,6 +728,23 @@ impl FairShareSolver {
                 self.link_alloc[l] += f.rate;
             }
         }
+    }
+
+    /// Fair share of a link among its unfrozen flows (`counts[l] > 0`),
+    /// computed exactly as [`crate::fairshare::max_min_rates`] does.
+    fn share(&self, l: usize) -> f64 {
+        self.remaining[l].max(0.0) / self.counts[l] as f64
+    }
+
+    /// Heap key of a link's share. Shares are finite and never below
+    /// zero, and once `-0.0` is mapped to `+0.0` their bit patterns
+    /// order exactly like the values, so `(key, link)` pops the lowest
+    /// share with ties going to the lowest link index — the
+    /// `share < best` ascending scan's pick.
+    fn share_key(&self, l: usize) -> u64 {
+        let share = self.share(l) + 0.0;
+        debug_assert!(share >= 0.0 && share.is_finite(), "bad share {share}");
+        share.to_bits()
     }
 }
 
@@ -701,6 +779,52 @@ mod tests {
         for (k, w) in keys.iter().zip(&want) {
             assert_eq!(s.rate(*k), *w);
         }
+    }
+
+    #[test]
+    fn flow_crossing_the_bottleneck_twice_freezes_once() {
+        // Link 0 carries three crossings (a twice, b once): share 4/3.
+        // `a` is listed twice on link 0 but must freeze, and debit the
+        // links it crosses, exactly once per traversal.
+        let caps = vec![4.0, 10.0];
+        let specs = vec![
+            (vec![0usize, 1, 0], Priority::Bulk),
+            (vec![0], Priority::Bulk),
+            (vec![1], Priority::Bulk),
+        ];
+        let mut s = FairShareSolver::new(caps.clone());
+        let keys: Vec<FlowKey> = specs.iter().map(|(l, p)| s.add_flow(l, *p)).collect();
+        s.solve();
+        let want = oracle(&caps, &specs);
+        for (k, w) in keys.iter().zip(&want) {
+            assert_eq!(s.rate(*k).to_bits(), w.to_bits());
+        }
+        assert!(
+            s.counts.iter().all(|&c| c == 0),
+            "scratch counts left dirty"
+        );
+    }
+
+    #[test]
+    fn equal_shares_freeze_in_ascending_link_order() {
+        // Both links share 5/3 exactly. Freezing link 0 first leaves
+        // `only1` with (5 − 2·(5/3))/1 and `only0` with 5/3; link 1
+        // first would swap those two rates, which differ in the last
+        // bits. The heap must pick the lower link index, as the scan does.
+        let caps = vec![5.0, 5.0];
+        let specs = vec![
+            (vec![0usize, 1], Priority::Bulk),
+            (vec![1], Priority::Bulk),
+            (vec![0], Priority::Bulk),
+            (vec![0, 1], Priority::Bulk),
+        ];
+        let mut s = FairShareSolver::new(caps.clone());
+        let keys: Vec<FlowKey> = specs.iter().map(|(l, p)| s.add_flow(l, *p)).collect();
+        s.solve();
+        let got: Vec<u64> = keys.iter().map(|&k| s.rate(k).to_bits()).collect();
+        let want: Vec<u64> = oracle(&caps, &specs).iter().map(|r| r.to_bits()).collect();
+        assert_eq!(got, want);
+        assert_ne!(got[1], got[2], "case must make the tie order visible");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Differential property test for the incremental fair-share solver.
 //!
 //! The rate-identity contract (DESIGN.md §7): after any sequence of
-//! add/remove deltas, the persistent `FairShareSolver` must produce the
-//! same per-flow rates as a from-scratch `max_min_rates` run over the
-//! current live set — within 1e-9 relative — regardless of how the
+//! add/remove/capacity deltas, the persistent `FairShareSolver` must
+//! produce bitwise the same per-flow rates as a from-scratch
+//! `max_min_rates` run over the current live set, regardless of how the
 //! deltas were batched and regardless of the global-refill threshold.
 //! Every allocation must also respect the solo-rate upper bound (no
 //! flow can beat its bottleneck-link capacity).
@@ -15,23 +15,29 @@ use fred::sim::solver::{FairShareSolver, FlowKey};
 
 const REL_TOL: f64 = 1e-9;
 
+/// Fill classes per tenant (the composite class is
+/// `tenant × CLASSES + priority rank`).
+const CLASSES: u8 = Priority::ALL.len() as u8;
+
 /// One live flow as the harness tracks it (mirrors the solver's view).
 #[derive(Debug, Clone)]
 struct LiveFlow {
     key: FlowKey,
     links: Vec<usize>,
-    priority: Priority,
+    /// Composite fill class; below [`CLASSES`] it is a priority rank.
+    class: u8,
 }
 
-fn rel_diff(a: f64, b: f64) -> f64 {
-    if a == b {
-        return 0.0; // covers INFINITY == INFINITY and exact zeros
+impl LiveFlow {
+    /// The priority the oracle sees, if the class is a tenant-0 one.
+    fn priority(&self) -> Option<Priority> {
+        Priority::ALL.get(self.class as usize).copied()
     }
-    (a - b).abs() / a.abs().max(b.abs()).max(f64::MIN_POSITIVE)
 }
 
-fn random_links(rng: &mut Rng64, n_links: usize) -> Vec<usize> {
-    // Mostly short routes (1–4 links), occasionally node-local (empty).
+/// A random route of 1–4 hops, occasionally node-local (empty). With
+/// `repeats`, a route may cross the same link more than once.
+fn random_links(rng: &mut Rng64, n_links: usize, repeats: bool) -> Vec<usize> {
     if rng.gen_range(0, 16) == 0 {
         return Vec::new();
     }
@@ -39,7 +45,7 @@ fn random_links(rng: &mut Rng64, n_links: usize) -> Vec<usize> {
     let mut links = Vec::with_capacity(hops);
     for _ in 0..hops {
         let l = rng.gen_range(0, n_links);
-        if !links.contains(&l) {
+        if repeats || !links.contains(&l) {
             links.push(l);
         }
     }
@@ -50,9 +56,10 @@ fn random_priority(rng: &mut Rng64) -> Priority {
     Priority::ALL[rng.gen_range(0, Priority::ALL.len())]
 }
 
-/// Compares the solver's rates against a from-scratch oracle run over
-/// the live set (oracle flows ordered by ascending solver key, matching
-/// the solver's own fill order).
+/// Compares the solver's rates bitwise against a from-scratch oracle
+/// run over the live set (oracle flows ordered by ascending solver key,
+/// matching the solver's own fill order). Every live class must be a
+/// priority rank.
 fn assert_rate_identity(solver: &FairShareSolver, live: &[LiveFlow], caps: &[f64], context: &str) {
     let mut sorted: Vec<&LiveFlow> = live.iter().collect();
     sorted.sort_by_key(|f| f.key.0);
@@ -60,18 +67,19 @@ fn assert_rate_identity(solver: &FairShareSolver, live: &[LiveFlow], caps: &[f64
         .iter()
         .map(|f| AllocFlow {
             links: &f.links,
-            priority: f.priority,
+            priority: f.priority().expect("oracle needs priority-rank classes"),
         })
         .collect();
     let want = max_min_rates(caps, &alloc);
     for (f, w) in sorted.iter().zip(&want) {
         let got = solver.rate(f.key);
-        assert!(
-            rel_diff(got, *w) <= REL_TOL,
-            "{context}: flow {:?} (links {:?}, {:?}): incremental {got} vs oracle {w}",
+        assert_eq!(
+            got.to_bits(),
+            w.to_bits(),
+            "{context}: flow {:?} (links {:?}, class {}): incremental {got} vs oracle {w}",
             f.key,
             f.links,
-            f.priority,
+            f.class,
         );
         // Solo-rate upper bound: no allocation beats the flow's
         // bottleneck capacity.
@@ -104,13 +112,13 @@ fn churn_case(seed: u64, n_links: usize, steps: usize, refill_fraction: Option<f
         for _ in 0..deltas {
             let adding = live.is_empty() || rng.gen_range(0, 5) < 3;
             if adding {
-                let links = random_links(&mut rng, n_links);
+                let links = random_links(&mut rng, n_links, false);
                 let priority = random_priority(&mut rng);
                 let key = solver.add_flow(&links, priority);
                 live.push(LiveFlow {
                     key,
                     links,
-                    priority,
+                    class: priority.rank() as u8,
                 });
             } else {
                 let victim = rng.gen_range(0, live.len());
@@ -159,6 +167,116 @@ fn incremental_matches_oracle_on_sparse_disjoint_traffic() {
     }
 }
 
+/// Tie-heavy churn: capacities from a small integer set (so equal
+/// shares on different links are common), routes that may cross a
+/// link twice, links dying (`set_capacity(l, 0.0)`) and reviving, and
+/// — with `tenants > 1` — tenant-composed classes. Solvers at the
+/// default, never-global and always-global thresholds see the same
+/// deltas. After every solve all three must agree bitwise, and whenever
+/// every live class is a priority rank they must also match the oracle.
+/// Returns how many solves the oracle checked.
+fn tie_churn_case(seed: u64, n_links: usize, steps: usize, tenants: u8) -> usize {
+    const CAPS: [f64; 4] = [1.0, 2.0, 3.0, 6.0];
+    let mut rng = Rng64::seed_from_u64(seed);
+    let mut caps: Vec<f64> = (0..n_links)
+        .map(|_| CAPS[rng.gen_range(0, CAPS.len())])
+        .collect();
+    let mut solvers: Vec<FairShareSolver> = [None, Some(1e9), Some(0.0)]
+        .into_iter()
+        .map(|fraction| {
+            let mut s = FairShareSolver::new(caps.clone());
+            if let Some(f) = fraction {
+                s.set_refill_fraction(f);
+            }
+            s
+        })
+        .collect();
+    let mut live: Vec<LiveFlow> = Vec::new();
+    let mut oracle_checks = 0;
+
+    for step in 0..steps {
+        for _ in 0..rng.gen_range_inclusive(1, 4) {
+            let roll = rng.gen_range(0, 10);
+            if roll == 0 {
+                // Kill a link, or revive it at a capacity from the set.
+                let l = rng.gen_range(0, n_links);
+                caps[l] = if caps[l] == 0.0 {
+                    CAPS[rng.gen_range(0, CAPS.len())]
+                } else {
+                    0.0
+                };
+                for s in &mut solvers {
+                    s.set_capacity(l, caps[l]);
+                }
+            } else if live.is_empty() || roll < 7 {
+                let links = random_links(&mut rng, n_links, true);
+                let tenant = rng.gen_range(0, tenants as usize) as u8;
+                let class = tenant * CLASSES + random_priority(&mut rng).rank() as u8;
+                let keys: Vec<FlowKey> = solvers
+                    .iter_mut()
+                    .map(|s| s.add_flow_class(&links, class))
+                    .collect();
+                assert!(
+                    keys.iter().all(|&k| k == keys[0]),
+                    "key allocation diverged"
+                );
+                live.push(LiveFlow {
+                    key: keys[0],
+                    links,
+                    class,
+                });
+            } else {
+                let f = live.swap_remove(rng.gen_range(0, live.len()));
+                for s in &mut solvers {
+                    s.remove_flow(f.key);
+                }
+            }
+        }
+        for s in &mut solvers {
+            s.solve();
+        }
+        let ctx = format!(
+            "seed {seed} tenants {tenants} step {step} ({} live)",
+            live.len()
+        );
+        let (reference, others) = solvers.split_last().expect("three solvers");
+        for f in &live {
+            let want = reference.rate(f.key).to_bits();
+            for s in others {
+                assert_eq!(
+                    s.rate(f.key).to_bits(),
+                    want,
+                    "{ctx}: flow {:?} (links {:?}, class {}) differs from the global refill",
+                    f.key,
+                    f.links,
+                    f.class,
+                );
+            }
+        }
+        if live.iter().all(|f| f.priority().is_some()) {
+            oracle_checks += 1;
+            for s in &solvers {
+                assert_rate_identity(s, &live, &caps, &ctx);
+            }
+        }
+    }
+    oracle_checks
+}
+
+#[test]
+fn incremental_matches_oracle_under_tie_heavy_churn() {
+    for seed in [31u64, 32, 33, 34, 35, 36] {
+        assert_eq!(tie_churn_case(seed, 6, 150, 1), 150, "seed {seed}");
+    }
+}
+
+#[test]
+fn incremental_matches_global_refill_under_tenant_classes() {
+    for seed in [41u64, 42, 43] {
+        tie_churn_case(seed, 6, 150, 3);
+    }
+}
+
 #[test]
 fn changed_flows_reports_are_sound() {
     // Rates of flows NOT reported as changed must be bitwise stable
@@ -169,13 +287,13 @@ fn changed_flows_reports_are_sound() {
     let mut solver = FairShareSolver::new(caps.clone());
     let mut live: Vec<LiveFlow> = Vec::new();
     for _ in 0..40 {
-        let links = random_links(&mut rng, n_links);
+        let links = random_links(&mut rng, n_links, false);
         let priority = random_priority(&mut rng);
         let key = solver.add_flow(&links, priority);
         live.push(LiveFlow {
             key,
             links,
-            priority,
+            class: priority.rank() as u8,
         });
     }
     solver.solve();
