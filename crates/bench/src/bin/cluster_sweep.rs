@@ -133,8 +133,10 @@ fn main() {
         reference
             .run_to_completion()
             .expect("uninterrupted reference run completes");
-        let mut resumed = Cluster::restore(cfg, jobs, opts.sink(), state)
-            .expect("snapshot pairs with the scenario");
+        let mut resumed = Cluster::restore(cfg, jobs, opts.sink(), state).unwrap_or_else(|e| {
+            eprintln!("cluster_sweep: cannot restore {}: {e}", path.display());
+            std::process::exit(1);
+        });
         resumed.run_to_completion().expect("resumed run completes");
         let full = reference.into_report();
         assert_reports_identical(&resumed.into_report(), &full);

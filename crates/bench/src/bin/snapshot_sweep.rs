@@ -123,7 +123,7 @@ fn main() {
     let bin = sim.to_binary();
     let capture_ms = t0.elapsed().as_secs_f64() * 1e3;
     let json = sim.to_json();
-    let running_jobs: Vec<usize> = state.running.iter().map(|r| r.job).collect();
+    let running_jobs = cluster.running_jobs();
     assert!(
         !running_jobs.is_empty(),
         "capture point must land with jobs on the fabric"
@@ -159,7 +159,8 @@ fn main() {
             // job-relative fire time safely after its progress so far,
             // different link set per fork.
             let victim = running_jobs[(k - 1) % running_jobs.len()];
-            let started = st.first_start[victim]
+            let started = cluster
+                .first_start(victim)
                 .expect("running job has started")
                 .as_secs();
             let rel = (cluster.now().as_secs() - started) + baseline_secs * 0.01 * k as f64;

@@ -39,8 +39,14 @@ use std::rc::Rc;
 
 use fred_core::params::FabricConfig;
 use fred_core::placement::{Placement, PlacementPolicy};
+use fred_sim::codec::{SnapshotError, Value};
+use fred_sim::ensure;
 use fred_sim::flow::FlowSpec;
 use fred_sim::netsim::FlowNetwork;
+use fred_sim::snapshot::{
+    arr_of, f64_of, field, non_null, time_of, times, times_of, tuple_of, u32s, u32s_of, u64_of,
+    usize_of, usizes, usizes_of, v_f64, v_time, v_u64,
+};
 use fred_sim::time::Time;
 use fred_telemetry::event::TraceEvent;
 use fred_telemetry::sink::{NullSink, TraceSink};
@@ -117,6 +123,9 @@ pub enum ClusterError {
         /// The underlying trainer error.
         err: TrainError,
     },
+    /// A snapshot could not be restored: it is damaged, or it does not
+    /// pair with the config and job list it was handed.
+    Snapshot(SnapshotError),
     /// The cluster ran out of pending events with jobs unfinished — a
     /// scheduling deadlock.
     Stalled {
@@ -141,6 +150,7 @@ impl fmt::Display for ClusterError {
                 "job `{job}` needs {npus} NPU slots but the fabric has {slots}"
             ),
             ClusterError::Train { job, err } => write!(f, "job `{job}` failed: {err}"),
+            ClusterError::Snapshot(err) => write!(f, "{err}"),
             ClusterError::Stalled {
                 queued,
                 running,
@@ -155,6 +165,12 @@ impl fmt::Display for ClusterError {
 }
 
 impl Error for ClusterError {}
+
+impl From<SnapshotError> for ClusterError {
+    fn from(err: SnapshotError) -> ClusterError {
+        ClusterError::Snapshot(err)
+    }
+}
 
 /// One placed job mid-flight (its slots are recorded in the
 /// [`SlotMap`], keyed by job id).
@@ -428,37 +444,47 @@ impl Cluster {
         Ok(())
     }
 
+    /// Indices of the jobs running now, in placement order.
+    pub fn running_jobs(&self) -> Vec<usize> {
+        self.running.iter().map(|r| r.job).collect()
+    }
+
+    /// When `job` (an index into the job list) first started, if it has.
+    pub fn first_start(&self, job: usize) -> Option<Time> {
+        self.first_start[job]
+    }
+
     /// Captures the entire cluster stack — scheduler bookkeeping,
-    /// every in-flight executor, and the shared network — as plain
-    /// data. The job list and config are *not* captured;
-    /// [`Cluster::restore`] is handed the same ones again.
+    /// every in-flight executor, and the shared network. The job list
+    /// and config are *not* captured; [`Cluster::restore`] is handed
+    /// the same ones again.
     pub fn snapshot(&self) -> ClusterState {
-        ClusterState {
-            net: self.net.snapshot(),
-            slot_owners: self.slotmap.owners().to_vec(),
-            queues: [
-                self.queues[0].iter().copied().collect(),
-                self.queues[1].iter().copied().collect(),
-                self.queues[2].iter().copied().collect(),
-            ],
-            running: self
-                .running
-                .iter()
-                .map(|r| RunningState {
-                    job: r.job,
-                    base: r.base,
-                    exec: r.exec.snapshot(),
-                })
-                .collect(),
-            arrival_cursor: self.arrival_cursor,
-            next_tag_base: self.next_tag_base,
-            first_start: self.first_start.clone(),
-            completion: self.completion.clone(),
-            preempt_count: self.preempt_count.clone(),
-            fault_cursor: self.fault_cursor.clone(),
-            done_count: self.done_count,
-            busy_npu_secs: self.busy_npu_secs,
-        }
+        let opt = |v: Option<Value>| v.unwrap_or(Value::Null);
+        let owners = self.slotmap.owners().iter();
+        let owners = owners.map(|o| opt(o.map(|j| v_u64(j as u64))));
+        let queues = self.queues.iter().map(|q| usizes(&Vec::from(q.clone())));
+        let running = self.running.iter().map(|r| {
+            Value::Obj(vec![
+                ("job".into(), v_u64(r.job as u64)),
+                ("base".into(), v_u64(r.base as u64)),
+                ("exec".into(), r.exec.to_value()),
+            ])
+        });
+        let first_start = self.first_start.iter().map(|t| opt(t.map(v_time)));
+        ClusterState(Value::Obj(vec![
+            ("net".into(), self.net.to_value()),
+            ("slot_owners".into(), Value::Arr(owners.collect())),
+            ("queues".into(), Value::Arr(queues.collect())),
+            ("running".into(), Value::Arr(running.collect())),
+            ("arrival_cursor".into(), v_u64(self.arrival_cursor as u64)),
+            ("next_tag_base".into(), v_u64(self.next_tag_base)),
+            ("first_start".into(), Value::Arr(first_start.collect())),
+            ("completion".into(), times(&self.completion)),
+            ("preempt_count".into(), u32s(&self.preempt_count)),
+            ("fault_cursor".into(), usizes(&self.fault_cursor)),
+            ("done_count".into(), v_u64(self.done_count as u64)),
+            ("busy_npu_secs".into(), v_f64(self.busy_npu_secs)),
+        ]))
     }
 
     /// Rebuilds a cluster from a [`Cluster::snapshot`], the same
@@ -468,14 +494,9 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// The same job-validation errors as [`Cluster::new`].
-    ///
-    /// # Panics
-    ///
-    /// If the state disagrees with the config/job list in shape (slot
-    /// count, job count, per-job vector lengths) — a snapshot pairing
-    /// error; file-level corruption is caught earlier by the codec's
-    /// typed errors.
+    /// The same job-validation errors as [`Cluster::new`], and
+    /// [`ClusterError::Snapshot`] when the state is damaged or does not
+    /// pair with `cfg`/`jobs` (DESIGN.md §12.1).
     pub fn restore(
         cfg: ClusterConfig,
         jobs: Vec<JobSpec>,
@@ -485,47 +506,43 @@ impl Cluster {
         let backend = FabricBackend::new(cfg.fabric);
         let slots = backend.npu_count();
         let (order, policy) = validate_and_order(&cfg, &jobs, &backend)?;
-        let n = jobs.len();
-        assert_eq!(state.slot_owners.len(), slots, "slot-count mismatch");
-        assert_eq!(state.first_start.len(), n, "first_start/job-count mismatch");
-        assert_eq!(state.completion.len(), n, "completion/job-count mismatch");
-        assert_eq!(state.preempt_count.len(), n, "preempt/job-count mismatch");
-        assert_eq!(state.fault_cursor.len(), n, "fault/job-count mismatch");
-        assert!(state.arrival_cursor <= n, "arrival cursor out of range");
-        for q in &state.queues {
-            for &j in q {
-                assert!(j < n, "queued job {j} out of range");
-            }
+        let ctx = "cluster";
+        let get = |key: &str| field(&state.0, key, ctx);
+        let net = FlowNetwork::from_value(backend.topology(), sink.clone(), get("net")?)?;
+        let mut running = Vec::new();
+        for r in arr_of(get("running")?, ctx)? {
+            let job = usize_of(field(r, "job", ctx)?, ctx)?;
+            let base = usize_of(field(r, "base", ctx)?, ctx)?;
+            let fits = jobs
+                .get(job)
+                .is_some_and(|spec| base <= slots - spec.npus());
+            ensure!(fits, "{ctx}: running job {job} at slot {base}");
+            let spec = &jobs[job];
+            let placement = Placement::with_base(spec.strategy, policy, base);
+            let schedule = build_schedule(
+                &spec.model,
+                spec.strategy,
+                &placement,
+                &backend,
+                spec.params,
+            );
+            let exec = field(r, "exec", ctx)?;
+            let exec = ScheduleExecutor::from_value(Rc::new(schedule), sink.clone(), exec)?;
+            running.push(Running { job, base, exec });
         }
-        let net = FlowNetwork::restore_with_sink(backend.topology(), sink.clone(), state.net);
+        let queues = tuple_of(get("queues")?, 3, ctx)?;
+        let queue = |rank: usize| usizes_of(&queues[rank], ctx).map(VecDeque::from);
+        let slot_owners = arr_of(get("slot_owners")?, ctx)?.iter().map(non_null);
+        let slot_owners = slot_owners
+            .map(|o| o.map(|j| usize_of(j, ctx)).transpose())
+            .collect::<Result<_, _>>()?;
+        let first_start = arr_of(get("first_start")?, ctx)?.iter().map(non_null);
+        let first_start = first_start
+            .map(|t| t.map(|t| time_of(t, ctx)).transpose())
+            .collect::<Result<_, _>>()?;
         let tracing = sink.enabled();
         let dropped_baseline = sink.dropped();
-        let running = state
-            .running
-            .iter()
-            .map(|r| {
-                assert!(r.job < n, "running job {} out of range", r.job);
-                let spec = &jobs[r.job];
-                let placement = Placement::with_base(spec.strategy, policy, r.base);
-                let schedule = build_schedule(
-                    &spec.model,
-                    spec.strategy,
-                    &placement,
-                    &backend,
-                    spec.params,
-                );
-                Running {
-                    job: r.job,
-                    base: r.base,
-                    exec: ScheduleExecutor::restore(
-                        Rc::new(schedule),
-                        sink.clone(),
-                        r.exec.clone(),
-                    ),
-                }
-            })
-            .collect();
-        Ok(Cluster {
+        let cluster = Cluster {
             cfg,
             jobs,
             backend,
@@ -534,23 +551,93 @@ impl Cluster {
             sink,
             tracing,
             dropped_baseline,
-            slotmap: SlotMap::from_owners(state.slot_owners),
-            queues: [
-                state.queues[0].iter().copied().collect(),
-                state.queues[1].iter().copied().collect(),
-                state.queues[2].iter().copied().collect(),
-            ],
+            slotmap: SlotMap::new(slots),
+            queues: [queue(0)?, queue(1)?, queue(2)?],
             running,
             order,
-            arrival_cursor: state.arrival_cursor,
-            next_tag_base: state.next_tag_base,
-            first_start: state.first_start,
-            completion: state.completion,
-            preempt_count: state.preempt_count,
-            fault_cursor: state.fault_cursor,
-            done_count: state.done_count,
-            busy_npu_secs: state.busy_npu_secs,
-        })
+            arrival_cursor: usize_of(get("arrival_cursor")?, ctx)?,
+            next_tag_base: u64_of(get("next_tag_base")?, ctx)?,
+            first_start,
+            completion: times_of(get("completion")?, ctx)?,
+            preempt_count: u32s_of(get("preempt_count")?, ctx)?,
+            fault_cursor: usizes_of(get("fault_cursor")?, ctx)?,
+            done_count: usize_of(get("done_count")?, ctx)?,
+            busy_npu_secs: f64_of(get("busy_npu_secs")?, ctx)?,
+        };
+        Ok(cluster.check_restored(slot_owners)?)
+    }
+
+    /// The cross-layer invariants [`Cluster::restore`] promises, on a
+    /// freshly decoded cluster; adopts `slot_owners` once they agree
+    /// with the running jobs.
+    fn check_restored(mut self, slot_owners: Vec<Option<usize>>) -> Result<Cluster, SnapshotError> {
+        let n = self.jobs.len();
+        let per_job = [
+            self.first_start.len(),
+            self.completion.len(),
+            self.preempt_count.len(),
+            self.fault_cursor.len(),
+        ];
+        let shaped = per_job == [n; 4] && self.arrival_cursor <= n;
+        ensure!(shaped, "cluster: per-job state not {n} long");
+        // Every admitted job is exactly one of running, queued or done;
+        // running jobs own exactly their carve-outs.
+        let mut admitted = vec![false; n];
+        for &j in &self.order[..self.arrival_cursor] {
+            admitted[j] = true;
+        }
+        let mut placed = vec![false; n];
+        let mut owners = vec![None; self.slotmap.slots()];
+        for r in &self.running {
+            let j = r.job;
+            let ok = admitted[j] && !placed[j] && self.first_start[j].is_some();
+            ensure!(ok, "cluster: running job {j} not admitted once");
+            placed[j] = true;
+            for owner in &mut owners[r.base..r.base + self.jobs[j].npus()] {
+                ensure!(owner.replace(j).is_none(), "cluster: job {j} overlaps");
+            }
+        }
+        ensure!(owners == slot_owners, "cluster: slot owners disagree");
+        self.slotmap = SlotMap::from_owners(owners);
+        for &j in self.queues.iter().flatten() {
+            let idle = j < n && admitted[j] && !placed[j];
+            ensure!(idle, "cluster: queued job {j} not admitted once");
+            placed[j] = true;
+        }
+        let done = (0..n).filter(|&j| admitted[j] && !placed[j]);
+        let started = done.clone().all(|j| self.first_start[j].is_some());
+        ensure!(
+            started && done.count() == self.done_count,
+            "cluster: done count"
+        );
+        let now = self.net.now();
+        let past = self.first_start.iter().flatten().all(|&t| t <= now);
+        ensure!(past, "cluster: a job started after the clock");
+        for (j, spec) in self.jobs.iter().enumerate() {
+            let ok = self.fault_cursor[j] <= spec.faults.events().len();
+            ensure!(ok, "cluster: job {j} fault cursor");
+        }
+        // Executors: disjoint tag ranges in placement order, no compute
+        // finish before the clock, and exactly the flows they await in
+        // the network.
+        let mut in_flight: BTreeMap<u64, usize> = BTreeMap::new();
+        for tag in self.net.in_flight_tags() {
+            *in_flight.entry(tag).or_default() += 1;
+        }
+        let mut tag_floor = 0;
+        for r in &self.running {
+            let end = r.exec.tag_end();
+            let base = end - r.exec.total_tasks() as u64;
+            let timely = r.exec.next_compute_time().is_none_or(|t| t >= now);
+            let disjoint = base >= tag_floor && end <= self.next_tag_base;
+            ensure!(timely && disjoint, "cluster: job {} out of step", r.job);
+            tag_floor = end;
+            let mine = in_flight.range(base + 1..).take_while(|(&t, _)| t <= end);
+            let carried: BTreeMap<u64, usize> = mine.map(|(&t, &c)| (t, c)).collect();
+            let awaited = carried == r.exec.awaited_tags();
+            ensure!(awaited, "cluster: job {} flows out of step", r.job);
+        }
+        Ok(self)
     }
 
     /// Scheduler-state gauges for the flight recorder: per-class queue
@@ -952,179 +1039,29 @@ impl Cluster {
     }
 }
 
-// ---------------------------------------------------------------------
-// Snapshot state and serialization.
-// ---------------------------------------------------------------------
-
-use fred_core::codec::{SnapshotError, Value};
-use fred_core::snapshot::{
-    arr_of, core_state_from_value, core_state_to_value, f64_of, field, time_of, u32s, u32s_of,
-    u64_of, usize_of, usizes, usizes_of, v_f64, v_time, v_u64,
-};
-use fred_sim::netsim::CoreState;
-use fred_workloads::exec::ExecState;
-
-/// One running job inside a [`ClusterState`].
+/// A captured [`Cluster`]: the [`Value`] tree [`Cluster::snapshot`]
+/// writes — the shared network, scheduler bookkeeping, and every
+/// running job's executor with its placement base. It pairs with the
+/// config and job list it was captured under; [`Cluster::restore`]
+/// decodes it against them.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RunningState {
-    /// Index into the submitted job list.
-    pub job: usize,
-    /// First slot of the job's carve-out.
-    pub base: usize,
-    /// The executor's captured progress.
-    pub exec: ExecState,
-}
-
-/// Captured cluster progress: everything [`Cluster`] mutates while
-/// running, as plain data. The config and job list are configuration
-/// and are handed to [`Cluster::restore`] alongside this.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterState {
-    /// The shared network.
-    pub net: CoreState,
-    /// Slot-ownership vector (see
-    /// [`crate::placement::SlotMap::owners`]).
-    pub slot_owners: Vec<Option<usize>>,
-    /// Per-class FIFO queues of pending job indices, front first.
-    pub queues: [Vec<usize>; 3],
-    /// In-flight jobs in placement order.
-    pub running: Vec<RunningState>,
-    /// Next unprocessed index into the arrival order.
-    pub arrival_cursor: usize,
-    /// Next fresh tag-namespace base.
-    pub next_tag_base: u64,
-    /// First-start instant per job.
-    pub first_start: Vec<Option<Time>>,
-    /// Completion instant per job (ZERO until finished).
-    pub completion: Vec<Time>,
-    /// Preemptions suffered per job.
-    pub preempt_count: Vec<u32>,
-    /// Per-job cursor into its fault plan.
-    pub fault_cursor: Vec<usize>,
-    /// Jobs completed so far.
-    pub done_count: usize,
-    /// Integrated slot-seconds of occupancy.
-    pub busy_npu_secs: f64,
-}
+pub struct ClusterState(Value);
 
 impl ClusterState {
-    /// Encodes the state for the shared snapshot codec.
+    /// The snapshot's value tree, for the shared codec.
     pub fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            ("net".into(), core_state_to_value(&self.net)),
-            (
-                "slot_owners".into(),
-                Value::Arr(
-                    self.slot_owners
-                        .iter()
-                        .map(|o| match o {
-                            None => Value::Null,
-                            Some(j) => v_u64(*j as u64),
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "queues".into(),
-                Value::Arr(self.queues.iter().map(|q| usizes(q)).collect()),
-            ),
-            (
-                "running".into(),
-                Value::Arr(
-                    self.running
-                        .iter()
-                        .map(|r| {
-                            Value::Obj(vec![
-                                ("job".into(), v_u64(r.job as u64)),
-                                ("base".into(), v_u64(r.base as u64)),
-                                ("exec".into(), r.exec.to_value()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("arrival_cursor".into(), v_u64(self.arrival_cursor as u64)),
-            ("next_tag_base".into(), v_u64(self.next_tag_base)),
-            (
-                "first_start".into(),
-                Value::Arr(
-                    self.first_start
-                        .iter()
-                        .map(|t| match t {
-                            None => Value::Null,
-                            Some(t) => v_time(*t),
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "completion".into(),
-                Value::Arr(self.completion.iter().map(|&t| v_time(t)).collect()),
-            ),
-            ("preempt_count".into(), u32s(&self.preempt_count)),
-            ("fault_cursor".into(), usizes(&self.fault_cursor)),
-            ("done_count".into(), v_u64(self.done_count as u64)),
-            ("busy_npu_secs".into(), v_f64(self.busy_npu_secs)),
-        ])
+        self.0.clone()
     }
 
-    /// Decodes [`ClusterState::to_value`] with typed errors on any
-    /// shape mismatch.
+    /// Wraps a decoded value tree; [`Cluster::restore`] checks its
+    /// contents against the config and job list.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Mismatch`] unless `v` is an object.
     pub fn from_value(v: &Value) -> Result<ClusterState, SnapshotError> {
-        let ctx = "cluster";
-        let slot_owners = arr_of(field(v, "slot_owners", ctx)?, ctx)?
-            .iter()
-            .map(|o| match o {
-                Value::Null => Ok(None),
-                j => usize_of(j, "cluster.slot_owners").map(Some),
-            })
-            .collect::<Result<Vec<_>, SnapshotError>>()?;
-        let queues_raw = arr_of(field(v, "queues", ctx)?, ctx)?;
-        if queues_raw.len() != 3 {
-            return Err(SnapshotError::Mismatch(
-                "cluster.queues: expected 3 class queues".into(),
-            ));
-        }
-        let queues = [
-            usizes_of(&queues_raw[0], "cluster.queues")?,
-            usizes_of(&queues_raw[1], "cluster.queues")?,
-            usizes_of(&queues_raw[2], "cluster.queues")?,
-        ];
-        let running = arr_of(field(v, "running", ctx)?, ctx)?
-            .iter()
-            .map(|r| {
-                Ok(RunningState {
-                    job: usize_of(field(r, "job", "cluster.running")?, "cluster.running.job")?,
-                    base: usize_of(field(r, "base", "cluster.running")?, "cluster.running.base")?,
-                    exec: ExecState::from_value(field(r, "exec", "cluster.running")?)?,
-                })
-            })
-            .collect::<Result<Vec<_>, SnapshotError>>()?;
-        let first_start = arr_of(field(v, "first_start", ctx)?, ctx)?
-            .iter()
-            .map(|t| match t {
-                Value::Null => Ok(None),
-                t => time_of(t, "cluster.first_start").map(Some),
-            })
-            .collect::<Result<Vec<_>, SnapshotError>>()?;
-        let completion = arr_of(field(v, "completion", ctx)?, ctx)?
-            .iter()
-            .map(|t| time_of(t, "cluster.completion"))
-            .collect::<Result<Vec<_>, SnapshotError>>()?;
-        Ok(ClusterState {
-            net: core_state_from_value(field(v, "net", ctx)?)?,
-            slot_owners,
-            queues,
-            running,
-            arrival_cursor: usize_of(field(v, "arrival_cursor", ctx)?, ctx)?,
-            next_tag_base: u64_of(field(v, "next_tag_base", ctx)?, ctx)?,
-            first_start,
-            completion,
-            preempt_count: u32s_of(field(v, "preempt_count", ctx)?, ctx)?,
-            fault_cursor: usizes_of(field(v, "fault_cursor", ctx)?, ctx)?,
-            done_count: usize_of(field(v, "done_count", ctx)?, ctx)?,
-            busy_npu_secs: f64_of(field(v, "busy_npu_secs", ctx)?, ctx)?,
-        })
+        ensure!(matches!(v, Value::Obj(_)), "cluster: expected an object");
+        Ok(ClusterState(v.clone()))
     }
 }
 
@@ -1292,9 +1229,9 @@ mod tests {
                 .unwrap();
             let state = cluster.snapshot();
             // Through the full codec: Value -> binary -> Value -> state.
-            let bytes = fred_core::codec::to_binary(&state.to_value());
+            let bytes = fred_sim::codec::to_binary(&state.to_value());
             let decoded =
-                ClusterState::from_value(&fred_core::codec::from_binary(&bytes).unwrap()).unwrap();
+                ClusterState::from_value(&fred_sim::codec::from_binary(&bytes).unwrap()).unwrap();
             assert_eq!(decoded, state);
             let mut resumed =
                 Cluster::restore(cfg.clone(), mk(), Rc::new(NullSink), decoded).unwrap();

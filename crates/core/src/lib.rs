@@ -31,11 +31,11 @@
 //!   and endpoint decomposition),
 //! * [`multiwafer`] — the §8.3 multi-wafer hierarchy and its
 //!   three-step global All-Reduce,
-//! * [`codec`] — the workspace's shared serde-free JSON + binary value
-//!   codec (no external dependencies),
-//! * [`snapshot`] — the versioned [`snapshot::SimState`] container and
-//!   the `Value` conversions for every simulator layer's state, the
-//!   foundation of bit-identical snapshot/resume.
+//! * [`codec`] and [`snapshot`] — re-exports of [`fred_sim::codec`] (the
+//!   shared value codec) and [`fred_sim::snapshot`] (the versioned
+//!   `SimState` container). They live in `fred-sim`, next to the state
+//!   they encode; the re-export keeps the `fred_core::` paths that
+//!   drivers and benchmarks name.
 //!
 //! ## Quick example: route two concurrent All-Reduces on Fred₂(8)
 //!
@@ -55,7 +55,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod codec;
 pub mod collective;
 pub mod conflict;
 pub mod fabric;
@@ -68,10 +67,10 @@ pub mod params;
 pub mod placement;
 pub mod resolve;
 pub mod routing;
-pub mod snapshot;
 pub mod switch;
 
 pub use conflict::RoutingConflict;
 pub use flow::Flow;
+pub use fred_sim::{codec, snapshot};
 pub use interconnect::Interconnect;
 pub use routing::{route_flows, RoutedNetwork};

@@ -1,6 +1,6 @@
 //! The workspace's shared serde-free value codec.
 //!
-//! One [`Value`] tree type with three wire forms:
+//! One [`Value`] tree type with two wire forms and file I/O:
 //!
 //! * **JSON text** — [`parse`] / [`to_json`]. The recursive-descent
 //!   parser supports exactly the JSON this workspace emits (objects,
@@ -13,14 +13,14 @@
 //!   binary form is exact for *every* `f64` (including `-0.0`, `NaN`
 //!   and infinities, which JSON cannot represent) — the preferred form
 //!   for simulation snapshots, where bit-exactness is the contract.
-//! * **Files** — [`write_binary`] / [`read_binary`] wrap the binary
-//!   form with I/O, mapping failures into [`SnapshotError`].
+//! * **Files** — `SimState::{write_binary, read_binary}` in
+//!   [`crate::snapshot`] wrap the binary form with I/O, mapping failures
+//!   into [`SnapshotError`].
 //!
 //! This module grew out of `fred_bench::report`, which still re-exports
 //! [`Value`] and [`parse`] for its report-diffing surface.
 
 use std::fmt;
-use std::path::Path;
 
 use fred_telemetry::json::{push_num, push_str_lit};
 
@@ -40,7 +40,7 @@ pub enum Value {
     Bool(bool),
     /// Any JSON number (always an `f64` — this workspace emits no
     /// integers beyond 2^53; larger integers travel as strings, see
-    /// `fred_core::snapshot::v_u64`).
+    /// `crate::snapshot::v_u64`).
     Num(f64),
     /// A string.
     Str(String),
@@ -103,8 +103,9 @@ pub enum SnapshotError {
     /// The input is structurally invalid (bad tag, bad UTF-8, JSON
     /// syntax error, …).
     Corrupt(String),
-    /// The decoded value does not have the shape a state expects
-    /// (missing section, wrong field type, wrong state version).
+    /// The decoded value does not fit the layer restoring it (missing
+    /// section or field, wrong field type, pairing with the wrong
+    /// configuration, or a broken invariant).
     Mismatch(String),
     /// An I/O error while reading or writing a snapshot file.
     Io(String),
@@ -152,7 +153,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
 /// except `-0.0`); non-finite numbers are clamped the same way the
 /// bench reports clamp them. State snapshots avoid the clamp by
 /// encoding non-finite values as sentinel strings before they reach
-/// this emitter (see `fred_core::snapshot::v_f64`).
+/// this emitter (see `crate::snapshot::v_f64`).
 pub fn to_json(v: &Value) -> String {
     let mut out = String::with_capacity(256);
     emit(v, &mut out);
@@ -541,17 +542,6 @@ fn decode(b: &[u8], pos: &mut usize, depth: u32) -> Result<Value, SnapshotError>
         }
         other => Err(SnapshotError::Corrupt(format!("unknown tag {other}"))),
     }
-}
-
-/// Writes the binary form of `v` to `path`.
-pub fn write_binary(path: impl AsRef<Path>, v: &Value) -> Result<(), SnapshotError> {
-    std::fs::write(path, to_binary(v)).map_err(|e| SnapshotError::Io(e.to_string()))
-}
-
-/// Reads and decodes a [`write_binary`] file.
-pub fn read_binary(path: impl AsRef<Path>) -> Result<Value, SnapshotError> {
-    let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-    from_binary(&bytes)
 }
 
 #[cfg(test)]

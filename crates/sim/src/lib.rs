@@ -14,7 +14,10 @@
 //! * [`netsim::FlowNetwork`] — the event-driven simulator that advances
 //!   flows to completion under the allocator,
 //! * [`events`] — a small generic discrete-event queue used by higher
-//!   layers (the trainer in `fred-workloads`).
+//!   layers (the trainer in `fred-workloads`),
+//! * [`codec`] and [`snapshot`] — the shared serde-free value codec and
+//!   the versioned [`snapshot::SimState`] container each layer's own
+//!   `to_value`/`from_value` writes into (`fred-core` re-exports both).
 //!
 //! The model is *flow-level*: bandwidth on each link is shared max-min
 //! fairly among the flows crossing it, recomputed whenever the set of
@@ -43,12 +46,14 @@
 //! assert!((done[0].completed_at.as_secs() - 2.0).abs() < 1e-9);
 //! ```
 
+pub mod codec;
 pub mod events;
 pub mod fairshare;
 pub mod fault;
 pub mod flow;
 pub mod netsim;
 pub mod rng;
+pub mod snapshot;
 pub mod solver;
 pub mod time;
 pub mod topology;

@@ -39,7 +39,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use fred_telemetry::event::{TraceEvent, Track};
 use fred_telemetry::sink::{NullSink, TraceSink};
 
+use crate::codec::{SnapshotError, Value};
+use crate::ensure;
 use crate::flow::{FlowId, FlowSpec, Priority};
+use crate::snapshot::{
+    arr_of, bools, bools_of, dur_of, f64_of, f64s, f64s_of, field, non_null, priority_from_value,
+    priority_to_value, tenant_of, time_of, tuple_of, u64_of, usize_of, usizes, usizes_of, v_dur,
+    v_f64, v_time, v_u64,
+};
 use crate::solver::{FairShareSolver, FlowKey, SolverStats};
 use crate::time::{Duration, Time};
 use crate::topology::{LinkId, Route, RouteError, Topology};
@@ -225,88 +232,6 @@ impl PartialOrd for PendingNotice {
 /// or slots were handed out.
 type DrainEntry = Reverse<(Time, u64, u64, u32)>;
 
-/// Serializable image of one in-flight flow inside a [`CoreState`].
-/// Plain data: every field that feeds future arithmetic (lazy byte
-/// accounting watermark, rate, drain-entry generation) is carried
-/// verbatim so a restored network continues the exact float sequence.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlowState {
-    /// The flow id ([`FlowId`] raw value).
-    pub id: u64,
-    /// Route as raw link indices.
-    pub links: Vec<usize>,
-    /// Priority class.
-    pub priority: Priority,
-    /// Tenant rank.
-    pub tenant: u8,
-    /// Caller tag.
-    pub tag: u64,
-    /// Bytes left as of `updated_at`.
-    pub remaining: f64,
-    /// Current allocated rate.
-    pub rate: f64,
-    /// Watermark of the last byte settlement / rate change.
-    pub updated_at: Time,
-    /// Generation of the flow's live drain-heap entry.
-    pub generation: u64,
-    /// Injection instant.
-    pub injected_at: Time,
-    /// Tail (route) latency.
-    pub latency: Duration,
-}
-
-/// Serializable image of a [`FlowNetwork`]: everything mutable that
-/// the next event needs, structurally faithful down to slab holes and
-/// heap entry sets. Captured by [`FlowNetwork::snapshot`]; restoring
-/// and running to completion is bit-identical to never having paused.
-///
-/// Deliberately excluded: the telemetry sink (configuration supplied
-/// on restore), solver scratch (epoch-stamped, provably inert after
-/// restore), and the process-wide event/compaction counters (monotonic
-/// profiling aggregates, not simulation state).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoreState {
-    /// Simulation clock.
-    pub now: Time,
-    /// Next flow id to allocate.
-    pub next_id: u64,
-    /// The flow slab, holes included (slot = solver [`FlowKey`]).
-    pub flows: Vec<Option<FlowState>>,
-    /// Number of live slots in `flows`.
-    pub active_count: usize,
-    /// The fair-share solver's image.
-    pub solver: crate::solver::SolverState,
-    /// Drain-heap entries `(when, flow id, generation, slot)`, sorted
-    /// ascending — a binary heap's pop order is a pure function of its
-    /// entry set, so the heap is rebuilt from this verbatim.
-    pub drains: Vec<(Time, u64, u64, u32)>,
-    /// Live (non-stale) entry count within `drains`.
-    pub live_drains: usize,
-    /// Heap size below which compaction never runs.
-    pub compaction_min: usize,
-    /// Compactions performed so far.
-    pub compactions: u64,
-    /// Drain-entry generation counter.
-    pub next_generation: u64,
-    /// Drained flows waiting out their tail latency, as
-    /// `(due, tie-break seq, record)` sorted ascending.
-    pub pending: Vec<(Time, u64, CompletedFlow)>,
-    /// Completions buffered but not yet drained by the caller.
-    pub completed: Vec<CompletedFlow>,
-    /// Bytes settled per link.
-    pub link_bytes: Vec<f64>,
-    /// Current link capacities (post-fault/degrade).
-    pub capacities: Vec<f64>,
-    /// Links killed by faults.
-    pub failed: Vec<bool>,
-    /// Lifecycle events processed by this network.
-    pub events: u64,
-    /// Last emitted per-link allocated rate (feeds the delta check in
-    /// rate-epoch emission, so it must survive a snapshot for the
-    /// restored trace to stay canonical).
-    pub link_alloc: Vec<f64>,
-}
-
 /// Flow-level network simulator over a fixed [`Topology`].
 ///
 /// See the [crate-level example](crate) for basic usage.
@@ -370,9 +295,18 @@ impl FlowNetwork {
     /// With any sink, simulation results are bit-identical to an
     /// untraced run: instrumentation only observes state.
     pub fn with_sink(topo: Topology, sink: Rc<dyn TraceSink>) -> FlowNetwork {
+        let net = FlowNetwork::idle(topo, sink);
+        net.record_topology();
+        net
+    }
+
+    /// An idle network at time zero that has not yet emitted its
+    /// segment marker (shared by [`FlowNetwork::with_sink`] and
+    /// [`FlowNetwork::from_value`]).
+    fn idle(topo: Topology, sink: Rc<dyn TraceSink>) -> FlowNetwork {
         let capacities: Vec<f64> = topo.links().map(|(_, l)| l.bandwidth).collect();
         let n = capacities.len();
-        let net = FlowNetwork {
+        FlowNetwork {
             topo,
             now: Time::ZERO,
             next_id: 0,
@@ -396,9 +330,7 @@ impl FlowNetwork {
             changed_scratch: Vec::new(),
             #[cfg(debug_assertions)]
             clock_watermark: Time::ZERO,
-        };
-        net.record_topology();
-        net
+        }
     }
 
     /// Marks the start of a simulation segment within the recording
@@ -516,11 +448,9 @@ impl FlowNetwork {
             self.count_event(); // its drain is implicit
             self.push_pending(flow);
         } else {
-            // Fill class = (tenant, priority) lexicographic: tenant 0
-            // yields exactly the priority rank, so single-tenant runs
-            // hit the same solver arithmetic as before tenancy existed.
-            let class = flow.tenant * Priority::ALL.len() as u8 + flow.priority.rank() as u8;
-            let key = self.solver.add_flow_class(&flow.links, class);
+            // Single-tenant runs hit the same solver arithmetic as
+            // before tenancy existed (see `ActiveFlow::class`).
+            let key = self.solver.add_flow_class(&flow.links, flow.class());
             let slot = key.0 as usize;
             if slot == self.flows.len() {
                 self.flows.push(Some(flow));
@@ -1028,142 +958,258 @@ impl FlowNetwork {
         self.compaction_min = min;
     }
 
-    /// Captures the simulator's complete mutable state. Restoring the
-    /// capture with [`FlowNetwork::restore`] and running to completion
-    /// is bit-identical (completion times, rate epochs, byte
-    /// accounting) to never having paused. Valid at any point between
-    /// public calls, including mid-fault with evicted flows awaiting
-    /// re-injection.
-    pub fn snapshot(&self) -> CoreState {
-        let mut drains: Vec<(Time, u64, u64, u32)> =
-            self.drains.iter().map(|&Reverse(e)| e).collect();
+    /// Tags of every flow not yet handed back by
+    /// [`FlowNetwork::drain_completed`] (draining, waiting out their
+    /// tail latency, or buffered), for drivers that route completions
+    /// by tag to check their bookkeeping on restore.
+    pub fn in_flight_tags(&self) -> impl Iterator<Item = u64> + '_ {
+        let pending = self.pending.iter().map(|Reverse(p)| &p.flow);
+        let done = pending.chain(&self.completed).map(|c| c.tag);
+        self.flows.iter().flatten().map(|f| f.tag).chain(done)
+    }
+
+    /// Encodes the simulator's complete mutable state; restoring it with
+    /// [`FlowNetwork::from_value`] resumes bit-identically. The slab
+    /// keeps its holes (slot = solver [`FlowKey`]); the drain heap and
+    /// pending completions are sorted entry sets (a heap's pop order is
+    /// a pure function of its entries). The topology, sink and
+    /// process-wide counters are not simulation state.
+    pub fn to_value(&self) -> Value {
+        let flows = self.flows.iter().map(|slot| match slot {
+            None => Value::Null,
+            Some(f) => f.to_value(),
+        });
+        let mut drains: Vec<_> = self.drains.iter().map(|&Reverse(e)| e).collect();
         drains.sort();
-        let mut pending: Vec<(Time, u64, CompletedFlow)> = self
-            .pending
-            .iter()
-            .map(|Reverse(p)| (p.at, p.seq, p.flow.clone()))
-            .collect();
-        pending.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        CoreState {
-            now: self.now,
-            next_id: self.next_id,
-            flows: self
-                .flows
-                .iter()
-                .map(|slot| {
-                    slot.as_ref().map(|f| FlowState {
-                        id: f.id.0,
-                        links: f.links.clone(),
-                        priority: f.priority,
-                        tenant: f.tenant,
-                        tag: f.tag,
-                        remaining: f.remaining,
-                        rate: f.rate,
-                        updated_at: f.updated_at,
-                        generation: f.generation,
-                        injected_at: f.injected_at,
-                        latency: f.latency,
-                    })
-                })
-                .collect(),
-            active_count: self.active_count,
-            solver: self.solver.snapshot(),
-            drains,
-            live_drains: self.live_drains,
-            compaction_min: self.compaction_min,
-            compactions: self.compactions,
-            next_generation: self.next_generation,
-            pending,
-            completed: self.completed.clone(),
-            link_bytes: self.link_bytes.clone(),
-            capacities: self.capacities.clone(),
-            failed: self.failed.clone(),
-            events: self.events,
-            link_alloc: self.link_alloc.clone(),
-        }
+        let drains = drains.iter().map(|&(at, id, generation, slot)| {
+            let slot = u64::from(slot);
+            Value::Arr(vec![v_time(at), v_u64(id), v_u64(generation), v_u64(slot)])
+        });
+        let mut pending: Vec<_> = self.pending.iter().map(|Reverse(p)| p).collect();
+        pending.sort();
+        let pending = pending.iter().map(|p| {
+            let (at, seq) = (v_time(p.at), v_u64(p.seq));
+            Value::Obj(vec![
+                ("at".into(), at),
+                ("seq".into(), seq),
+                ("flow".into(), p.flow.to_value()),
+            ])
+        });
+        let completed = self.completed.iter().map(CompletedFlow::to_value);
+        Value::Obj(vec![
+            ("now".into(), v_time(self.now)),
+            ("next_id".into(), v_u64(self.next_id)),
+            ("flows".into(), Value::Arr(flows.collect())),
+            ("active_count".into(), v_u64(self.active_count as u64)),
+            ("solver".into(), self.solver.to_value()),
+            ("drains".into(), Value::Arr(drains.collect())),
+            ("live_drains".into(), v_u64(self.live_drains as u64)),
+            ("compaction_min".into(), v_u64(self.compaction_min as u64)),
+            ("compactions".into(), v_u64(self.compactions)),
+            ("next_generation".into(), v_u64(self.next_generation)),
+            ("pending".into(), Value::Arr(pending.collect())),
+            ("completed".into(), Value::Arr(completed.collect())),
+            ("link_bytes".into(), f64s(&self.link_bytes)),
+            ("capacities".into(), f64s(&self.capacities)),
+            ("failed".into(), bools(&self.failed)),
+            ("events".into(), v_u64(self.events)),
+            ("link_alloc".into(), f64s(&self.link_alloc)),
+        ])
     }
 
-    /// Rebuilds a simulator from a [`FlowNetwork::snapshot`] capture
-    /// over `topo` (which must be the topology the capture was taken
-    /// from), with tracing disabled.
+    /// Rebuilds a simulator from [`FlowNetwork::to_value`] over `topo`
+    /// (the topology the capture was taken from), recording into
+    /// `sink`. An enabled sink gets a fresh [`TraceEvent::Topology`]
+    /// segment marker at the restored clock, as at construction.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the state's per-link vectors do not match `topo`.
-    pub fn restore(topo: Topology, state: CoreState) -> FlowNetwork {
-        FlowNetwork::restore_with_sink(topo, Rc::new(NullSink), state)
-    }
-
-    /// [`FlowNetwork::restore`] recording into `sink`. When the sink is
-    /// enabled a fresh [`TraceEvent::Topology`] marker is emitted at
-    /// the restored clock — the same segment marker
-    /// [`FlowNetwork::with_sink`] emits at construction — so analysis
-    /// layers can re-cost the resumed segment on its own.
-    pub fn restore_with_sink(
+    /// [`SnapshotError::Mismatch`] when a field is missing or ill-typed,
+    /// the per-link vectors do not match `topo`, or the state breaks an
+    /// invariant the next event relies on (DESIGN.md §12.1), so a
+    /// restored run can neither panic nor stall.
+    pub fn from_value(
         topo: Topology,
         sink: Rc<dyn TraceSink>,
-        state: CoreState,
-    ) -> FlowNetwork {
-        let n = topo.links().count();
-        assert_eq!(
-            state.capacities.len(),
-            n,
-            "snapshot link count does not match the topology"
-        );
-        assert_eq!(state.link_bytes.len(), n, "corrupt snapshot: link_bytes");
-        assert_eq!(state.failed.len(), n, "corrupt snapshot: failed");
-        assert_eq!(state.link_alloc.len(), n, "corrupt snapshot: link_alloc");
-        let flows: Vec<Option<ActiveFlow>> = state
-            .flows
-            .into_iter()
-            .map(|slot| {
-                slot.map(|f| ActiveFlow {
-                    id: FlowId(f.id),
-                    links: f.links,
-                    priority: f.priority,
-                    tenant: f.tenant,
-                    tag: f.tag,
-                    remaining: f.remaining,
-                    rate: f.rate,
-                    updated_at: f.updated_at,
-                    generation: f.generation,
-                    injected_at: f.injected_at,
-                    latency: f.latency,
-                    ledger: ByteLedger::new(f.remaining),
-                })
-            })
-            .collect();
-        let net = FlowNetwork {
-            topo,
-            now: state.now,
-            next_id: state.next_id,
-            flows,
-            active_count: state.active_count,
-            solver: FairShareSolver::restore(state.solver),
-            drains: state.drains.into_iter().map(Reverse).collect(),
-            live_drains: state.live_drains,
-            compaction_min: state.compaction_min,
-            compactions: state.compactions,
-            next_generation: state.next_generation,
-            pending: state
-                .pending
-                .into_iter()
-                .map(|(at, seq, flow)| Reverse(PendingNotice { at, seq, flow }))
-                .collect(),
-            completed: state.completed,
-            link_bytes: state.link_bytes,
-            capacities: state.capacities,
-            failed: state.failed,
-            events: state.events,
-            tracing: sink.enabled(),
-            sink,
-            link_alloc: state.link_alloc,
-            changed_scratch: Vec::new(),
-            #[cfg(debug_assertions)]
-            clock_watermark: state.now,
-        };
+        v: &Value,
+    ) -> Result<FlowNetwork, SnapshotError> {
+        let ctx = "net";
+        let get = |key: &str| field(v, key, ctx);
+        let mut net = FlowNetwork::idle(topo, sink);
+        net.now = time_of(get("now")?, ctx)?;
+        net.next_id = u64_of(get("next_id")?, ctx)?;
+        for slot in arr_of(get("flows")?, ctx)? {
+            net.flows
+                .push(non_null(slot).map(ActiveFlow::from_value).transpose()?);
+        }
+        net.active_count = usize_of(get("active_count")?, ctx)?;
+        net.solver = FairShareSolver::from_value(get("solver")?)?;
+        for e in arr_of(get("drains")?, ctx)? {
+            let e = tuple_of(e, 4, "net.drain")?;
+            let slot = u32::try_from(u64_of(&e[3], ctx)?);
+            let slot = slot.map_err(|_| SnapshotError::Mismatch("net.drain: slot".into()))?;
+            let (id, generation) = (u64_of(&e[1], ctx)?, u64_of(&e[2], ctx)?);
+            net.drains
+                .push(Reverse((time_of(&e[0], ctx)?, id, generation, slot)));
+        }
+        net.live_drains = usize_of(get("live_drains")?, ctx)?;
+        net.compaction_min = usize_of(get("compaction_min")?, ctx)?;
+        net.compactions = u64_of(get("compactions")?, ctx)?;
+        net.next_generation = u64_of(get("next_generation")?, ctx)?;
+        for p in arr_of(get("pending")?, ctx)? {
+            net.pending.push(Reverse(PendingNotice {
+                at: time_of(field(p, "at", ctx)?, ctx)?,
+                seq: u64_of(field(p, "seq", ctx)?, ctx)?,
+                flow: CompletedFlow::from_value(field(p, "flow", ctx)?)?,
+            }));
+        }
+        let completed = arr_of(get("completed")?, ctx)?.iter();
+        net.completed = completed
+            .map(CompletedFlow::from_value)
+            .collect::<Result<_, _>>()?;
+        net.link_bytes = f64s_of(get("link_bytes")?, ctx)?;
+        net.capacities = f64s_of(get("capacities")?, ctx)?;
+        net.failed = bools_of(get("failed")?, ctx)?;
+        net.events = u64_of(get("events")?, ctx)?;
+        net.link_alloc = f64s_of(get("link_alloc")?, ctx)?;
+        #[cfg(debug_assertions)]
+        {
+            net.clock_watermark = net.now;
+        }
+        net.check_restored()?;
         net.record_topology();
-        net
+        Ok(net)
+    }
+
+    /// The invariants [`FlowNetwork::from_value`] promises, on a freshly
+    /// decoded network.
+    fn check_restored(&self) -> Result<(), SnapshotError> {
+        let n = self.topo.links().count();
+        let per_link = [&self.link_bytes, &self.capacities, &self.link_alloc].map(Vec::len);
+        let shaped = per_link == [n; 3] && self.failed.len() == n;
+        ensure!(shaped, "net: per-link vectors not {n} long");
+        for ((l, link), &cap) in self.topo.links().zip(&self.capacities) {
+            let ok = (0.0..=link.bandwidth).contains(&cap);
+            ensure!(ok, "net: link {} capacity {cap}", l.0);
+        }
+        let same = self.solver.shape_is(&self.capacities, self.flows.len());
+        ensure!(same, "net: shape differs from solver");
+        let mut live_entries = vec![0usize; self.flows.len()];
+        for &Reverse((at, id, generation, slot)) in self.drains.iter() {
+            let Some(f) = self.flows.get(slot as usize) else {
+                return Err(SnapshotError::Mismatch(format!("net: drain slot {slot}")));
+            };
+            let ok = at >= self.now && generation <= self.next_generation;
+            ensure!(ok, "net: drain entry {at} generation {generation}");
+            if let Some(f) = f.as_ref().filter(|f| f.generation == generation) {
+                ensure!(f.id.0 == id, "net: drain entry names flow {id}");
+                live_entries[slot as usize] += 1;
+            }
+        }
+        // A zero-rate flow is woken by the pending re-solve of a seed
+        // link it crosses, or by a draining flow on a shared link.
+        let mut wakes = vec![false; n];
+        for &l in self.solver.seed_links() {
+            wakes[l] = true;
+        }
+        for (slot, f) in self.flows.iter().enumerate() {
+            let view = f.as_ref().map(|f| (&f.links[..], f.class(), f.rate));
+            let agrees = self.solver.slot_is(slot, view);
+            ensure!(agrees, "net: slot {slot} differs from solver");
+            let Some(f) = f else { continue };
+            let live = |&l: &usize| !self.failed[l] && self.capacities[l] > 0.0;
+            let routed = !f.links.is_empty() && f.links.iter().all(live);
+            let sane = f.remaining >= 0.0 && f.rate.is_finite();
+            let past = f.updated_at.max(f.injected_at) <= self.now;
+            let fresh = f.generation <= self.next_generation;
+            let draining = live_entries[slot] == usize::from(f.rate > 0.0);
+            let id = f.id.0;
+            ensure!(routed && sane && past, "net: flow {id} malformed");
+            ensure!(fresh && draining, "net: flow {id} drain out of step");
+            if f.rate > 0.0 {
+                f.links.iter().for_each(|&l| wakes[l] = true);
+            }
+        }
+        let live: Vec<&ActiveFlow> = self.flows.iter().flatten().collect();
+        let draining = live.iter().filter(|f| f.rate > 0.0).count();
+        let counts = (live.len(), draining) == (self.active_count, self.live_drains);
+        ensure!(counts, "net: live counts disagree with the slab");
+        for f in live.iter().filter(|f| f.rate == 0.0) {
+            let woken = f.links.iter().any(|&l| wakes[l]);
+            ensure!(woken, "net: flow {} starved for good", f.id.0);
+        }
+        let early = self.pending.iter().any(|Reverse(p)| p.at < self.now);
+        ensure!(!early, "net: a completion is due before the clock");
+        Ok(())
+    }
+}
+
+impl ActiveFlow {
+    /// The solver fill class: (tenant, priority) lexicographic, so
+    /// tenant 0 yields exactly the priority rank.
+    fn class(&self) -> u8 {
+        self.tenant * Priority::ALL.len() as u8 + self.priority.rank() as u8
+    }
+
+    fn to_value(&self) -> Value {
+        Value::Obj(vec![
+            ("id".into(), v_u64(self.id.0)),
+            ("links".into(), usizes(&self.links)),
+            ("priority".into(), priority_to_value(self.priority)),
+            ("tenant".into(), v_u64(u64::from(self.tenant))),
+            ("tag".into(), v_u64(self.tag)),
+            ("remaining".into(), v_f64(self.remaining)),
+            ("rate".into(), v_f64(self.rate)),
+            ("updated_at".into(), v_time(self.updated_at)),
+            ("generation".into(), v_u64(self.generation)),
+            ("injected_at".into(), v_time(self.injected_at)),
+            ("latency".into(), v_dur(self.latency)),
+        ])
+    }
+
+    fn from_value(v: &Value) -> Result<ActiveFlow, SnapshotError> {
+        let ctx = "net.flow";
+        let get = |key: &str| field(v, key, ctx);
+        let remaining = f64_of(get("remaining")?, ctx)?;
+        ensure!(remaining.is_finite(), "{ctx}: {remaining} bytes left");
+        Ok(ActiveFlow {
+            id: FlowId(u64_of(get("id")?, ctx)?),
+            links: usizes_of(get("links")?, ctx)?,
+            priority: priority_from_value(get("priority")?, ctx)?,
+            tenant: tenant_of(get("tenant")?, ctx)?,
+            tag: u64_of(get("tag")?, ctx)?,
+            remaining,
+            rate: f64_of(get("rate")?, ctx)?,
+            updated_at: time_of(get("updated_at")?, ctx)?,
+            generation: u64_of(get("generation")?, ctx)?,
+            injected_at: time_of(get("injected_at")?, ctx)?,
+            latency: dur_of(get("latency")?, ctx)?,
+            ledger: ByteLedger::new(remaining),
+        })
+    }
+}
+
+impl CompletedFlow {
+    fn to_value(&self) -> Value {
+        Value::Obj(vec![
+            ("id".into(), v_u64(self.id.0)),
+            ("tag".into(), v_u64(self.tag)),
+            ("priority".into(), priority_to_value(self.priority)),
+            ("injected_at".into(), v_time(self.injected_at)),
+            ("completed_at".into(), v_time(self.completed_at)),
+        ])
+    }
+
+    fn from_value(v: &Value) -> Result<CompletedFlow, SnapshotError> {
+        let ctx = "net.completed";
+        let get = |key: &str| field(v, key, ctx);
+        Ok(CompletedFlow {
+            id: FlowId(u64_of(get("id")?, ctx)?),
+            tag: u64_of(get("tag")?, ctx)?,
+            priority: priority_from_value(get("priority")?, ctx)?,
+            injected_at: time_of(get("injected_at")?, ctx)?,
+            completed_at: time_of(get("completed_at")?, ctx)?,
+        })
     }
 }
 
@@ -1788,12 +1834,12 @@ mod tests {
         let mut paused = FlowNetwork::new(topo);
         let ev2 = phase1(&mut paused, l0b, l1b);
         assert_eq!(ev, ev2);
-        let state = paused.snapshot();
+        let state = paused.to_value();
         drop(paused);
         let (topo, _, l1c) = build();
-        let mut resumed = FlowNetwork::restore(topo, state.clone());
+        let mut resumed = FlowNetwork::from_value(topo, Rc::new(NullSink), &state).unwrap();
         // A snapshot of the restored (untouched) network is stable.
-        assert_eq!(resumed.snapshot(), state);
+        assert_eq!(resumed.to_value(), state);
         assert_eq!(finish(&mut resumed, l1c, ev2), uninterrupted);
     }
 }

@@ -38,7 +38,13 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use crate::codec::{SnapshotError, Value};
+use crate::ensure;
 use crate::flow::Priority;
+use crate::snapshot::{
+    arr_of, bool_of, f64_of, f64s, f64s_of, field, u32s, u32s_of, u64_of, usize_of, usizes,
+    usizes_of, v_f64, v_u64,
+};
 
 /// Same drained-capacity clamp as the from-scratch allocator
 /// ([`crate::fairshare::max_min_rates`]); keeping them identical is
@@ -59,56 +65,6 @@ struct SolverFlow {
     /// into one ordinal (see [`FairShareSolver::add_flow_class`]).
     class: u8,
     rate: f64,
-}
-
-/// Serialized form of one registered flow inside a [`SolverState`].
-/// Slab order and holes are preserved exactly (see [`SolverState`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SolverFlowState {
-    /// Link indices the flow crosses (multiset, in route order).
-    pub links: Vec<usize>,
-    /// Strict fill class (see [`FairShareSolver::add_flow_class`]).
-    pub class: u8,
-    /// Rate as of the last solve.
-    pub rate: f64,
-}
-
-/// Complete mutable state of a [`FairShareSolver`], captured by
-/// [`FairShareSolver::snapshot`] and revived by
-/// [`FairShareSolver::restore`].
-///
-/// The capture is *structural*, not merely semantic: slab holes, the
-/// free-key stack and per-link incidence order are preserved verbatim,
-/// because key reuse order and `swap_remove` incidence positions feed
-/// future arithmetic and tie-breaking. Epoch-stamped scratch vectors
-/// are deliberately **not** captured — restore re-zeros them, which is
-/// equivalent because the serialized `epoch` keeps every zero mark
-/// stale. Pending deltas (`seed_links`, `dirty`) are captured so a
-/// snapshot taken between a delta and its solve resumes exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SolverState {
-    /// Per-link capacities (bytes/s), indexed by `LinkId.0`.
-    pub capacities: Vec<f64>,
-    /// The flow slab, holes included.
-    pub flows: Vec<Option<SolverFlowState>>,
-    /// Free-key stack, top last.
-    pub free: Vec<u32>,
-    /// Live flow count.
-    pub live: usize,
-    /// Per-link incidence lists, in insertion/`swap_remove` order.
-    pub link_flows: Vec<Vec<u32>>,
-    /// Allocated rate sum per link.
-    pub link_alloc: Vec<f64>,
-    /// Dirty seed links pending the next solve (may repeat).
-    pub seed_links: Vec<usize>,
-    /// Whether deltas are pending.
-    pub dirty: bool,
-    /// Global-refill threshold fraction.
-    pub refill_fraction: f64,
-    /// Scratch-mark epoch (monotone; restored marks of zero stay stale).
-    pub epoch: u64,
-    /// Cost counters at capture.
-    pub stats: SolverStats,
 }
 
 /// Running cost counters, exposed for benchmarks and telemetry.
@@ -526,88 +482,146 @@ impl FairShareSolver {
         true
     }
 
-    /// Captures the solver's complete mutable state. See
-    /// [`SolverState`] for what is (and is not) serialized.
-    pub fn snapshot(&self) -> SolverState {
-        SolverState {
-            capacities: self.capacities.clone(),
-            flows: self
-                .flows
-                .iter()
-                .map(|f| {
-                    f.as_ref().map(|f| SolverFlowState {
-                        links: f.links.to_vec(),
-                        class: f.class,
-                        rate: f.rate,
-                    })
-                })
-                .collect(),
-            free: self.free.clone(),
-            live: self.live,
-            link_flows: self.link_flows.clone(),
-            link_alloc: self.link_alloc.clone(),
-            seed_links: self.seed_links.clone(),
-            dirty: self.dirty,
-            refill_fraction: self.refill_fraction,
-            epoch: self.epoch,
-            stats: self.stats,
+    /// Encodes the solver's complete mutable state, structurally: slab
+    /// holes, free-key order and incidence order feed future
+    /// tie-breaking, and pending deltas (`seed_links`, `dirty`) let a
+    /// capture between a delta and its solve resume exactly. Scratch is
+    /// not encoded: restore zeroes it, and the encoded `epoch` keeps
+    /// those zero marks stale.
+    pub fn to_value(&self) -> Value {
+        let flows = self.flows.iter().map(|slot| match slot {
+            None => Value::Null,
+            Some(f) => Value::Obj(vec![
+                ("links".into(), usizes(&f.links)),
+                ("class".into(), v_u64(u64::from(f.class))),
+                ("rate".into(), v_f64(f.rate)),
+            ]),
+        });
+        Value::Obj(vec![
+            ("capacities".into(), f64s(&self.capacities)),
+            ("flows".into(), Value::Arr(flows.collect())),
+            ("free".into(), u32s(&self.free)),
+            ("live".into(), v_u64(self.live as u64)),
+            (
+                "link_flows".into(),
+                Value::Arr(self.link_flows.iter().map(|ks| u32s(ks)).collect()),
+            ),
+            ("link_alloc".into(), f64s(&self.link_alloc)),
+            ("seed_links".into(), usizes(&self.seed_links)),
+            ("dirty".into(), Value::Bool(self.dirty)),
+            ("refill_fraction".into(), v_f64(self.refill_fraction)),
+            ("epoch".into(), v_u64(self.epoch)),
+            ("solves".into(), v_u64(self.stats.solves)),
+            ("global_solves".into(), v_u64(self.stats.global_solves)),
+            ("refilled_flows".into(), v_u64(self.stats.refilled_flows)),
+            ("max_component".into(), v_u64(self.stats.max_component)),
+        ])
+    }
+
+    /// Rebuilds a solver from [`FairShareSolver::to_value`]. Continuing
+    /// the restored solver is bit-identical to continuing the captured
+    /// one.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Mismatch`] when a field is missing or ill-typed,
+    /// or the state breaks an invariant the next solve relies on
+    /// (DESIGN.md §12.1).
+    pub fn from_value(v: &Value) -> Result<FairShareSolver, SnapshotError> {
+        let ctx = "solver";
+        let get = |key: &str| field(v, key, ctx);
+        let mut s = FairShareSolver::new(f64s_of(get("capacities")?, ctx)?);
+        let n = s.capacities.len();
+        let caps_ok = s.capacities.iter().all(|c| c.is_finite() && *c >= 0.0);
+        ensure!(caps_ok, "{ctx}: negative or non-finite capacity");
+        for slot in arr_of(get("flows")?, ctx)? {
+            if *slot == Value::Null {
+                s.flows.push(None);
+                continue;
+            }
+            let links = usizes_of(field(slot, "links", ctx)?, ctx)?;
+            let class = u64_of(field(slot, "class", ctx)?, ctx)?;
+            let rate = f64_of(field(slot, "rate", ctx)?, ctx)?;
+            let ok = class <= u64::from(u8::MAX) && rate >= 0.0 && links.iter().all(|&l| l < n);
+            ensure!(ok, "{ctx}: flow {} malformed", s.flows.len());
+            let (links, class) = (links.into(), class as u8);
+            s.flows.push(Some(SolverFlow { links, class, rate }));
+        }
+        let slab = s.flows.len();
+        s.free = u32s_of(get("free")?, ctx)?;
+        s.live = usize_of(get("live")?, ctx)?;
+        let link_flows = arr_of(get("link_flows")?, ctx)?.iter();
+        s.link_flows = link_flows
+            .map(|ks| u32s_of(ks, ctx))
+            .collect::<Result<_, _>>()?;
+        s.link_alloc = f64s_of(get("link_alloc")?, ctx)?;
+        s.seed_links = usizes_of(get("seed_links")?, ctx)?;
+        s.dirty = bool_of(get("dirty")?, ctx)?;
+        s.refill_fraction = f64_of(get("refill_fraction")?, ctx)?;
+        s.epoch = u64_of(get("epoch")?, ctx)?;
+        s.stats = SolverStats {
+            solves: u64_of(get("solves")?, ctx)?,
+            global_solves: u64_of(get("global_solves")?, ctx)?,
+            refilled_flows: u64_of(get("refilled_flows")?, ctx)?,
+            max_component: u64_of(get("max_component")?, ctx)?,
+        };
+        (s.flow_mark, s.frozen_mark, s.new_rate) = (vec![0; slab], vec![0; slab], vec![0.0; slab]);
+
+        let shaped = s.link_flows.len() == n && s.link_alloc.len() == n;
+        ensure!(shaped, "{ctx}: per-link vectors not {n} long");
+        let seeds_ok = s.seed_links.iter().all(|&l| l < n);
+        let pending = s.dirty != s.seed_links.is_empty();
+        ensure!(seeds_ok && pending, "{ctx}: pending seeds malformed");
+        ensure!(s.refill_fraction >= 0.0, "{ctx}: bad refill fraction");
+        let mut holes: Vec<u32> = (0..slab as u32)
+            .filter(|&k| s.flows[k as usize].is_none())
+            .collect();
+        let mut free = s.free.clone();
+        free.sort_unstable();
+        holes.sort_unstable();
+        let live = slab - holes.len();
+        ensure!(
+            free == holes && s.live == live,
+            "{ctx}: free stack or live count off"
+        );
+        let mut crossings: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (k, f) in s.flows.iter().enumerate() {
+            for &l in f.iter().flat_map(|f| f.links.iter()) {
+                crossings[l].push(k as u32);
+            }
+        }
+        for (l, (want, have)) in crossings.iter_mut().zip(&s.link_flows).enumerate() {
+            let mut have = have.clone();
+            have.sort_unstable();
+            want.sort_unstable();
+            ensure!(have == *want, "{ctx}: link {l} incidence out of sync");
+        }
+        Ok(s)
+    }
+
+    /// The pending-delta seed links (the network's restore check wakes
+    /// zero-rate flows through them).
+    pub(crate) fn seed_links(&self) -> &[usize] {
+        &self.seed_links
+    }
+
+    /// Whether slot `key` holds exactly `flow` — `(links, class, rate
+    /// bits)` — or is a hole when `flow` is `None`.
+    pub(crate) fn slot_is(&self, key: usize, flow: Option<(&[usize], u8, f64)>) -> bool {
+        match (self.flows.get(key), flow) {
+            (Some(None), None) => true,
+            (Some(Some(f)), Some((links, class, rate))) => {
+                *f.links == *links && f.class == class && f.rate.to_bits() == rate.to_bits()
+            }
+            _ => false,
         }
     }
 
-    /// Rebuilds a solver from a [`FairShareSolver::snapshot`] capture.
-    /// Continuing the restored solver is bit-identical to continuing
-    /// the captured one: slab layout, free-key order, incidence order
-    /// and the pending-delta set are all revived verbatim; only the
-    /// epoch-stamped scratch is re-zeroed (safe — see [`SolverState`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state is internally inconsistent (per-link vector
-    /// lengths disagree) — codec-level decoding reports corruption as
-    /// typed errors before this is reached.
-    pub fn restore(state: SolverState) -> FairShareSolver {
-        let n = state.capacities.len();
-        assert_eq!(state.link_flows.len(), n, "link_flows length mismatch");
-        assert_eq!(state.link_alloc.len(), n, "link_alloc length mismatch");
-        let slab = state.flows.len();
-        FairShareSolver {
-            capacities: state.capacities,
-            flows: state
-                .flows
-                .into_iter()
-                .map(|f| {
-                    f.map(|f| SolverFlow {
-                        links: f.links.into_boxed_slice(),
-                        class: f.class,
-                        rate: f.rate,
-                    })
-                })
-                .collect(),
-            free: state.free,
-            live: state.live,
-            link_flows: state.link_flows,
-            link_alloc: state.link_alloc,
-            seed_links: state.seed_links,
-            dirty: state.dirty,
-            refill_fraction: state.refill_fraction,
-            epoch: state.epoch,
-            link_mark: vec![0; n],
-            flow_mark: vec![0; slab],
-            frozen_mark: vec![0; slab],
-            share_mark: vec![0; n],
-            freeze_stamp: 0,
-            remaining: vec![0.0; n],
-            counts: vec![0; n],
-            new_rate: vec![0.0; slab],
-            comp_flows: Vec::new(),
-            stack: Vec::new(),
-            classes: Vec::new(),
-            shares: BinaryHeap::new(),
-            reshared: Vec::new(),
-            changed: Vec::new(),
-            touched_links: Vec::new(),
-            stats: state.stats,
-        }
+    /// Whether the solver has exactly these link capacities (bitwise)
+    /// and a slab of `slab` slots.
+    pub(crate) fn shape_is(&self, capacities: &[f64], slab: usize) -> bool {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        bits(&self.capacities) == bits(capacities) && self.flows.len() == slab
     }
 
     /// Progressive filling restricted to one component:
@@ -1004,10 +1018,10 @@ mod tests {
         s.solve();
         s.remove_flow(a);
         s.set_capacity(2, 2.0); // pending deltas at capture time
-        let state = s.snapshot();
-        assert!(state.dirty);
-        let mut r = FairShareSolver::restore(state.clone());
-        assert_eq!(r.snapshot(), state, "snapshot of a restore is stable");
+        let state = s.to_value();
+        assert_eq!(state.get("dirty"), Some(&Value::Bool(true)));
+        let mut r = FairShareSolver::from_value(&state).unwrap();
+        assert_eq!(r.to_value(), state, "snapshot of a restore is stable");
 
         // Identical continuation on both: solve, new flow (must reuse
         // the same freed key), solve again.

@@ -30,7 +30,7 @@
 //! An analysis over a truncated trace (ring overflow) is flagged, not
 //! silently produced — attribution over missing events is wrong.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::attribution::{Attribution, Bucket};
 use crate::event::{TraceEvent, Track};
@@ -649,8 +649,10 @@ fn contention_matrix(
         }
     }
 
-    // (link, victim flow) -> (culprit label -> overlap seconds).
-    let mut overlap_w: HashMap<(u32, usize), HashMap<Box<str>, f64>> = HashMap::new();
+    // (link, victim flow) -> (culprit label -> overlap seconds). The
+    // culprit map is ordered so each victim's `total_w` sums in the
+    // same order in every process.
+    let mut overlap_w: HashMap<(u32, usize), BTreeMap<Box<str>, f64>> = HashMap::new();
     for (l, intervals) in per_link.iter_mut() {
         intervals.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         for i in 0..intervals.len() {

@@ -22,9 +22,15 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use fred_sim::codec::{SnapshotError, Value};
+use fred_sim::ensure;
 use fred_sim::events::EventQueue;
 use fred_sim::flow::FlowSpec;
 use fred_sim::netsim::FlowNetwork;
+use fred_sim::snapshot::{
+    arr_of, bools, bools_of, field, flow_spec_from_value, flow_spec_to_value, tenant_of, time_of,
+    times, times_of, tuple_of, u64_of, usize_of, usizes, usizes_of, v_time, v_u64,
+};
 use fred_sim::time::Time;
 use fred_sim::topology::LinkId;
 use fred_telemetry::event::{next_span_id, TraceEvent, Track};
@@ -116,45 +122,6 @@ pub struct ExecConfig {
     pub label: Option<String>,
 }
 
-/// Captured executor progress: everything [`ScheduleExecutor`] mutates
-/// while running, as plain data.
-///
-/// The schedule itself, the trace sink and the derived `dependents`
-/// adjacency are configuration — a restore is handed the same schedule
-/// and rebuilds them. Telemetry span bookkeeping (`spans`/`span_ids`)
-/// is deliberately excluded: traces restart at the restore point, so
-/// tasks already running resume without an open span (the dependency
-/// edge emitter skips the zero sentinel).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExecState {
-    /// The executor's namespace identity.
-    pub cfg: ExecConfig,
-    /// Remaining unfinished-dependency count per task.
-    pub indegree: Vec<usize>,
-    /// Start time per task (ZERO until started).
-    pub start: Vec<Time>,
-    /// Finish time per task (ZERO until finished).
-    pub finish: Vec<Time>,
-    /// Finished flag per task.
-    pub done: Vec<bool>,
-    /// In-flight comm tasks as `(task, next_phase, outstanding)`,
-    /// sorted by task index.
-    pub comm: Vec<(usize, usize, usize)>,
-    /// Pending compute finishes (see
-    /// [`fred_sim::events::EventQueue::entries`]).
-    pub compute_queue: Vec<(Time, u64, usize)>,
-    /// The compute queue's next tie-break sequence number.
-    pub compute_next_seq: u64,
-    /// Tasks finished so far.
-    pub completed: usize,
-    /// Tasks ready to start (popped back-to-front).
-    pub ready_stack: Vec<usize>,
-    /// Tasks that finished at the current instant, awaiting settle.
-    pub finished_now: Vec<usize>,
-    /// Flows staged but not yet injected.
-    pub staged: Vec<FlowSpec>,
-}
-
 /// The trainer's dependency-driven event loop as a resumable state
 /// machine over an external clock. See the [module docs](self) for the
 /// driver contract.
@@ -225,80 +192,178 @@ impl ScheduleExecutor {
         }
     }
 
-    /// Captures every piece of mutable executor state as plain data.
-    /// Restoring with [`ScheduleExecutor::restore`] against the same
-    /// schedule resumes bit-identically (modulo telemetry spans — see
-    /// [`ExecState`]).
-    pub fn snapshot(&self) -> ExecState {
-        ExecState {
-            cfg: self.cfg.clone(),
-            indegree: self.indegree.clone(),
-            start: self.start.clone(),
-            finish: self.finish.clone(),
-            done: self.done.clone(),
-            comm: self
-                .comm
-                .iter()
-                .map(|(&i, s)| (i, s.phase, s.outstanding))
-                .collect(),
-            compute_queue: self.compute_queue.entries(),
-            compute_next_seq: self.compute_queue.next_seq(),
-            completed: self.completed,
-            ready_stack: self.ready_stack.clone(),
-            finished_now: self.finished_now.clone(),
-            staged: self.staged.clone(),
-        }
+    /// Encodes every piece of mutable executor state; restoring it with
+    /// [`ScheduleExecutor::from_value`] against the same schedule
+    /// resumes bit-identically. Telemetry spans are not encoded: traces
+    /// restart at the restore point, so running tasks resume without an
+    /// open span (dependency edges skip the zero sentinel).
+    pub fn to_value(&self) -> Value {
+        let comm = self.comm.iter().map(|(&i, c)| {
+            Value::Arr(vec![
+                v_u64(i as u64),
+                v_u64(c.phase as u64),
+                v_u64(c.outstanding as u64),
+            ])
+        });
+        let queue = self
+            .compute_queue
+            .entries()
+            .into_iter()
+            .map(|(at, seq, task)| Value::Arr(vec![v_time(at), v_u64(seq), v_u64(task as u64)]));
+        let label = match &self.cfg.label {
+            Some(l) => Value::Str(l.clone()),
+            None => Value::Null,
+        };
+        Value::Obj(vec![
+            ("tag_base".into(), v_u64(self.cfg.tag_base)),
+            ("tenant".into(), v_u64(u64::from(self.cfg.tenant))),
+            ("label".into(), label),
+            ("indegree".into(), usizes(&self.indegree)),
+            ("start".into(), times(&self.start)),
+            ("finish".into(), times(&self.finish)),
+            ("done".into(), bools(&self.done)),
+            ("comm".into(), Value::Arr(comm.collect())),
+            ("compute_queue".into(), Value::Arr(queue.collect())),
+            (
+                "compute_next_seq".into(),
+                v_u64(self.compute_queue.next_seq()),
+            ),
+            ("completed".into(), v_u64(self.completed as u64)),
+            ("ready_stack".into(), usizes(&self.ready_stack)),
+            ("finished_now".into(), usizes(&self.finished_now)),
+            (
+                "staged".into(),
+                Value::Arr(self.staged.iter().map(flow_spec_to_value).collect()),
+            ),
+        ])
     }
 
-    /// Rebuilds an executor from a [`ScheduleExecutor::snapshot`] and
-    /// the same schedule it was captured against.
+    /// Rebuilds an executor from [`ScheduleExecutor::to_value`] and the
+    /// schedule it was captured against.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// If the state's per-task vectors do not match the schedule's task
-    /// count or reference out-of-range tasks — a snapshot/schedule
-    /// pairing error, not file corruption (which the codec layer
-    /// reports as typed errors before state structs are ever built).
-    pub fn restore(schedule: Rc<Schedule>, sink: Rc<dyn TraceSink>, state: ExecState) -> Self {
+    /// [`SnapshotError::Mismatch`] when a field is missing or ill-typed,
+    /// or the state does not pair with `schedule` (DESIGN.md §12.1).
+    pub fn from_value(
+        schedule: Rc<Schedule>,
+        sink: Rc<dyn TraceSink>,
+        v: &Value,
+    ) -> Result<Self, SnapshotError> {
+        let ctx = "exec";
+        let get = |key: &str| field(v, key, ctx);
+        let label = match get("label")? {
+            Value::Null => None,
+            Value::Str(s) => Some(s.clone()),
+            _ => return Err(SnapshotError::Mismatch("exec.label: not a string".into())),
+        };
+        let tag_base = u64_of(get("tag_base")?, ctx)?;
+        let tenant = tenant_of(get("tenant")?, ctx)?;
         let n = schedule.tasks.len();
-        assert_eq!(state.indegree.len(), n, "indegree/task-count mismatch");
-        assert_eq!(state.start.len(), n, "start/task-count mismatch");
-        assert_eq!(state.finish.len(), n, "finish/task-count mismatch");
-        assert_eq!(state.done.len(), n, "done/task-count mismatch");
-        let mut dependents: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        for (i, t) in schedule.tasks.iter().enumerate() {
-            for d in &t.deps {
-                dependents[d.0].push(TaskId(i));
+        let fits = tag_base.checked_add(n as u64 + 1).is_some();
+        ensure!(fits, "{ctx}: tag base {tag_base} overflows");
+        let cfg = ExecConfig {
+            tag_base,
+            tenant,
+            label,
+        };
+        let mut exec = ScheduleExecutor::new(schedule, cfg, sink);
+        exec.indegree = usizes_of(get("indegree")?, ctx)?;
+        exec.start = times_of(get("start")?, ctx)?;
+        exec.finish = times_of(get("finish")?, ctx)?;
+        exec.done = bools_of(get("done")?, ctx)?;
+        let per_task = [
+            exec.indegree.len(),
+            exec.start.len(),
+            exec.finish.len(),
+            exec.done.len(),
+        ];
+        ensure!(per_task == [n; 4], "{ctx}: per-task vectors not {n} long");
+        exec.completed = usize_of(get("completed")?, ctx)?;
+        exec.ready_stack = usizes_of(get("ready_stack")?, ctx)?;
+        exec.finished_now = usizes_of(get("finished_now")?, ctx)?;
+        let staged = arr_of(get("staged")?, ctx)?.iter();
+        exec.staged = staged
+            .map(|f| flow_spec_from_value(f, ctx))
+            .collect::<Result<_, _>>()?;
+        let (tasks, done) = (&exec.schedule.tasks, &exec.done);
+        let is_comm =
+            |i: usize| matches!(tasks.get(i).map(|t| &t.body), Some(TaskBody::Comm { .. }));
+        // Tasks underway: in-flight comm cursors and queued computes; the
+        // ready stack must not restart one.
+        let mut started = vec![false; n];
+        for e in arr_of(get("comm")?, ctx)? {
+            let e = tuple_of(e, 3, ctx)?;
+            let (i, phase, outstanding) = (
+                usize_of(&e[0], ctx)?,
+                usize_of(&e[1], ctx)?,
+                usize_of(&e[2], ctx)?,
+            );
+            let phases = match tasks.get(i).map(|t| &t.body) {
+                Some(TaskBody::Comm { plan, .. }) => Some(plan.phases.len()),
+                _ => None,
+            };
+            let cursor = phases.is_some_and(|p| phase <= p) && !started[i];
+            ensure!(cursor, "{ctx}: comm cursor {i}");
+            started[i] = true;
+            exec.comm.insert(i, CommState { phase, outstanding });
+        }
+        let mut queued = Vec::new();
+        for e in arr_of(get("compute_queue")?, ctx)? {
+            let e = tuple_of(e, 3, ctx)?;
+            let i = usize_of(&e[2], ctx)?;
+            let pending = i < n && !is_comm(i) && !done[i] && !started[i];
+            ensure!(pending, "{ctx}: queued compute {i}");
+            started[i] = true;
+            queued.push((time_of(&e[0], ctx)?, u64_of(&e[1], ctx)?, i));
+        }
+        let next_seq = u64_of(get("compute_next_seq")?, ctx)?;
+        exec.compute_queue = EventQueue::from_entries(queued, next_seq);
+        for &i in &exec.ready_stack {
+            let ready = i < n && !started[i] && !done[i] && exec.indegree[i] == 0;
+            ensure!(ready, "{ctx}: ready task {i}");
+            started[i] = true;
+        }
+        let unfinished = exec.finished_now.iter().all(|&i| i < n && !done[i]);
+        ensure!(unfinished, "{ctx}: finished-now task out of range or done");
+        for (i, t) in tasks.iter().enumerate() {
+            let waiting = t.deps.iter().filter(|d| !done[d.0]).count();
+            ensure!(exec.indegree[i] == waiting, "{ctx}: task {i} indegree");
+        }
+        let done = done.iter().filter(|&&d| d).count();
+        ensure!(exec.completed == done, "{ctx}: completed count {done}");
+        // Every staged flow belongs to a comm phase still awaiting it.
+        let outstanding = exec
+            .comm
+            .values()
+            .fold(0, |n, c| c.outstanding.saturating_add(n));
+        let awaited = exec
+            .awaited_tags()
+            .values()
+            .fold(0, |n, &a| a.saturating_add(n));
+        let staged_ok = awaited.saturating_add(exec.staged.len()) == outstanding;
+        ensure!(staged_ok, "{ctx}: a staged flow no comm phase awaits");
+        Ok(exec)
+    }
+
+    /// Flows each in-flight comm phase still awaits from the network,
+    /// keyed by flow tag: its outstanding count less the flows it has
+    /// staged but not yet injected. A driver sharing a network checks
+    /// these against [`FlowNetwork::in_flight_tags`] on restore.
+    pub fn awaited_tags(&self) -> BTreeMap<u64, usize> {
+        let tag = |i: usize| self.cfg.tag_base + i as u64 + 1;
+        let mut awaited: BTreeMap<u64, usize> = self
+            .comm
+            .iter()
+            .map(|(&i, c)| (tag(i), c.outstanding))
+            .collect();
+        for f in &self.staged {
+            if let Some(left) = awaited.get_mut(&f.tag) {
+                *left = left.saturating_sub(1);
             }
         }
-        let mut comm = BTreeMap::new();
-        for &(i, phase, outstanding) in &state.comm {
-            assert!(i < n, "comm task {i} out of range");
-            comm.insert(i, CommState { phase, outstanding });
-        }
-        for &i in state.ready_stack.iter().chain(&state.finished_now) {
-            assert!(i < n, "task {i} out of range");
-        }
-        let tracing = sink.enabled();
-        ScheduleExecutor {
-            schedule,
-            cfg: state.cfg,
-            sink,
-            tracing,
-            indegree: state.indegree,
-            dependents,
-            start: state.start,
-            finish: state.finish,
-            done: state.done,
-            comm,
-            compute_queue: EventQueue::from_entries(state.compute_queue, state.compute_next_seq),
-            completed: state.completed,
-            spans: vec![None; n],
-            span_ids: vec![0; n],
-            ready_stack: state.ready_stack,
-            finished_now: state.finished_now,
-            staged: state.staged,
-        }
+        awaited.retain(|_, left| *left > 0);
+        awaited
     }
 
     /// The schedule being executed.
@@ -621,179 +686,96 @@ impl ScheduleExecutor {
     }
 }
 
-// ---------------------------------------------------------------------
-// Snapshot serialization.
-// ---------------------------------------------------------------------
-
-use fred_core::codec::{SnapshotError, Value};
-use fred_core::snapshot::{
-    arr_of, bools, bools_of, field, flow_spec_from_value, flow_spec_to_value, time_of, u64_of,
-    usize_of, usizes, usizes_of, v_time, v_u64,
-};
-
-impl ExecState {
-    /// Encodes the state for the shared snapshot codec.
-    pub fn to_value(&self) -> Value {
-        let comm = Value::Arr(
-            self.comm
-                .iter()
-                .map(|&(i, phase, outstanding)| {
-                    Value::Arr(vec![
-                        v_u64(i as u64),
-                        v_u64(phase as u64),
-                        v_u64(outstanding as u64),
-                    ])
-                })
-                .collect(),
-        );
-        let queue = Value::Arr(
-            self.compute_queue
-                .iter()
-                .map(|&(at, seq, task)| {
-                    Value::Arr(vec![v_time(at), v_u64(seq), v_u64(task as u64)])
-                })
-                .collect(),
-        );
-        Value::Obj(vec![
-            ("tag_base".into(), v_u64(self.cfg.tag_base)),
-            ("tenant".into(), v_u64(u64::from(self.cfg.tenant))),
-            (
-                "label".into(),
-                match &self.cfg.label {
-                    Some(l) => Value::Str(l.clone()),
-                    None => Value::Null,
-                },
-            ),
-            ("indegree".into(), usizes(&self.indegree)),
-            (
-                "start".into(),
-                Value::Arr(self.start.iter().map(|&t| v_time(t)).collect()),
-            ),
-            (
-                "finish".into(),
-                Value::Arr(self.finish.iter().map(|&t| v_time(t)).collect()),
-            ),
-            ("done".into(), bools(&self.done)),
-            ("comm".into(), comm),
-            ("compute_queue".into(), queue),
-            ("compute_next_seq".into(), v_u64(self.compute_next_seq)),
-            ("completed".into(), v_u64(self.completed as u64)),
-            ("ready_stack".into(), usizes(&self.ready_stack)),
-            ("finished_now".into(), usizes(&self.finished_now)),
-            (
-                "staged".into(),
-                Value::Arr(self.staged.iter().map(flow_spec_to_value).collect()),
-            ),
-        ])
-    }
-
-    /// Decodes [`ExecState::to_value`] with typed errors on any shape
-    /// mismatch.
-    pub fn from_value(v: &Value) -> Result<ExecState, SnapshotError> {
-        let ctx = "exec";
-        let comm = arr_of(field(v, "comm", ctx)?, ctx)?
-            .iter()
-            .map(|e| {
-                let e = arr_of(e, "exec.comm")?;
-                if e.len() != 3 {
-                    return Err(SnapshotError::Mismatch(
-                        "exec.comm: expected 3 elements".into(),
-                    ));
-                }
-                Ok((
-                    usize_of(&e[0], "exec.comm.task")?,
-                    usize_of(&e[1], "exec.comm.phase")?,
-                    usize_of(&e[2], "exec.comm.outstanding")?,
-                ))
-            })
-            .collect::<Result<Vec<_>, SnapshotError>>()?;
-        let compute_queue = arr_of(field(v, "compute_queue", ctx)?, ctx)?
-            .iter()
-            .map(|e| {
-                let e = arr_of(e, "exec.compute_queue")?;
-                if e.len() != 3 {
-                    return Err(SnapshotError::Mismatch(
-                        "exec.compute_queue: expected 3 elements".into(),
-                    ));
-                }
-                Ok((
-                    time_of(&e[0], "exec.compute_queue.at")?,
-                    u64_of(&e[1], "exec.compute_queue.seq")?,
-                    usize_of(&e[2], "exec.compute_queue.task")?,
-                ))
-            })
-            .collect::<Result<Vec<_>, SnapshotError>>()?;
-        let staged = arr_of(field(v, "staged", ctx)?, ctx)?
-            .iter()
-            .map(|f| flow_spec_from_value(f, "exec.staged"))
-            .collect::<Result<Vec<_>, SnapshotError>>()?;
-        let label = match field(v, "label", ctx)? {
-            Value::Null => None,
-            Value::Str(s) => Some(s.clone()),
-            other => {
-                return Err(SnapshotError::Mismatch(format!(
-                    "exec.label: expected string or null, found {other:?}"
-                )))
-            }
-        };
-        let time_vec = |key: &str| -> Result<Vec<Time>, SnapshotError> {
-            arr_of(field(v, key, ctx)?, ctx)?
-                .iter()
-                .map(|t| time_of(t, key))
-                .collect()
-        };
-        Ok(ExecState {
-            cfg: ExecConfig {
-                tag_base: u64_of(field(v, "tag_base", ctx)?, ctx)?,
-                tenant: u64_of(field(v, "tenant", ctx)?, ctx)? as u8,
-                label,
-            },
-            indegree: usizes_of(field(v, "indegree", ctx)?, ctx)?,
-            start: time_vec("start")?,
-            finish: time_vec("finish")?,
-            done: bools_of(field(v, "done", ctx)?, ctx)?,
-            comm,
-            compute_queue,
-            compute_next_seq: u64_of(field(v, "compute_next_seq", ctx)?, ctx)?,
-            completed: usize_of(field(v, "completed", ctx)?, ctx)?,
-            ready_stack: usizes_of(field(v, "ready_stack", ctx)?, ctx)?,
-            finished_now: usizes_of(field(v, "finished_now", ctx)?, ctx)?,
-            staged,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::DnnModel;
+    use crate::schedule::{build_schedule, ScheduleParams};
+    use fred_core::params::FabricConfig;
+    use fred_core::placement::{Placement, PlacementPolicy, Strategy3D};
+    use fred_sim::codec;
+    use fred_telemetry::sink::NullSink;
+
+    fn schedule(backend: &FabricBackend, dp: usize) -> Rc<Schedule> {
+        let model = DnnModel::resnet152();
+        let strategy = Strategy3D::new(1, dp, 1);
+        let params = ScheduleParams::sweep_default(&model, strategy);
+        let placement = Placement::new(strategy, PlacementPolicy::MpPpDp);
+        Rc::new(build_schedule(
+            &model, strategy, &placement, backend, params,
+        ))
+    }
+
+    /// Drives an executor over a private network for `events` event
+    /// instants (the trainer's loop, minus faults).
+    fn drive(
+        ex: &mut ScheduleExecutor,
+        net: &mut FlowNetwork,
+        backend: &FabricBackend,
+        events: usize,
+    ) {
+        for _ in 0..events {
+            let tc = ex.next_compute_time();
+            let Some(next) = [tc, net.next_event()].into_iter().flatten().min() else {
+                return;
+            };
+            net.advance_to(next);
+            for c in net.drain_completed() {
+                ex.handle_completion(c.tag).unwrap();
+            }
+            ex.release_computes_due(next);
+            ex.settle(net, backend).unwrap();
+        }
+    }
 
     #[test]
-    fn exec_state_round_trips_through_value() {
-        let state = ExecState {
-            cfg: ExecConfig {
-                tag_base: 64,
-                tenant: 2,
-                label: Some("job3".into()),
-            },
-            indegree: vec![0, 1, 2],
-            start: vec![Time::ZERO, Time::from_secs(0.5), Time::ZERO],
-            finish: vec![Time::from_secs(0.25), Time::ZERO, Time::ZERO],
-            done: vec![true, false, false],
-            comm: vec![(1, 2, 3)],
-            compute_queue: vec![(Time::from_secs(1.5), 7, 2)],
-            compute_next_seq: 8,
-            completed: 1,
-            ready_stack: vec![2],
-            finished_now: vec![],
-            staged: vec![FlowSpec::new(vec![LinkId(0), LinkId(3)], 1e9)
-                .with_tag(66)
-                .with_tenant(2)],
+    fn executor_round_trips_through_value_and_resumes_identically() {
+        let backend = FabricBackend::new(FabricConfig::FredD);
+        let sched = schedule(&backend, 4);
+        let cfg = ExecConfig {
+            tag_base: 64,
+            tenant: 2,
+            label: Some("job3".into()),
         };
-        let v = state.to_value();
-        assert_eq!(ExecState::from_value(&v).unwrap(), state);
-        // And through the binary codec.
-        let bytes = fred_core::codec::to_binary(&v);
-        let back = fred_core::codec::from_binary(&bytes).unwrap();
-        assert_eq!(ExecState::from_value(&back).unwrap(), state);
+        let mut net = FlowNetwork::new(backend.topology());
+        let mut ex = ScheduleExecutor::new(sched.clone(), cfg, Rc::new(NullSink));
+        ex.settle(&mut net, &backend).unwrap();
+        drive(&mut ex, &mut net, &backend, 6);
+        assert!(ex.completed_count() > 0 && !ex.is_done());
+
+        // Through the binary codec, then back: the re-encoding is stable.
+        let v = codec::from_binary(&codec::to_binary(&ex.to_value())).unwrap();
+        let mut restored = ScheduleExecutor::from_value(sched, Rc::new(NullSink), &v).unwrap();
+        assert_eq!(restored.to_value(), v);
+        let awaited: usize = restored.awaited_tags().values().sum();
+        assert_eq!(
+            awaited,
+            net.in_flight_tags().filter(|&t| ex.owns_tag(t)).count()
+        );
+
+        let mut net2 =
+            FlowNetwork::from_value(backend.topology(), Rc::new(NullSink), &net.to_value())
+                .unwrap();
+        drive(&mut ex, &mut net, &backend, usize::MAX);
+        drive(&mut restored, &mut net2, &backend, usize::MAX);
+        assert!(ex.is_done() && restored.is_done());
+        assert_eq!(
+            ex.completion_time().as_secs().to_bits(),
+            restored.completion_time().as_secs().to_bits()
+        );
+    }
+
+    #[test]
+    fn pairing_with_another_schedule_is_a_typed_error() {
+        let backend = FabricBackend::new(FabricConfig::FredD);
+        let ex = ScheduleExecutor::new(
+            schedule(&backend, 4),
+            ExecConfig::default(),
+            Rc::new(NullSink),
+        );
+        let err =
+            ScheduleExecutor::from_value(schedule(&backend, 8), Rc::new(NullSink), &ex.to_value())
+                .unwrap_err();
+        assert!(matches!(err, SnapshotError::Mismatch(_)), "{err:?}");
     }
 }

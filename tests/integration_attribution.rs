@@ -6,12 +6,14 @@ use std::rc::Rc;
 
 use fred::core::params::FabricConfig;
 use fred::core::placement::Strategy3D;
+use fred::sim::fault::FaultPlan;
+use fred::sim::time::Time;
 use fred::telemetry::analysis::Analysis;
 use fred::telemetry::sink::RingRecorder;
 use fred::workloads::backend::FabricBackend;
 use fred::workloads::model::DnnModel;
 use fred::workloads::schedule::ScheduleParams;
-use fred::workloads::trainer::simulate_traced;
+use fred::workloads::trainer::{simulate, simulate_faulted, simulate_traced};
 
 fn analyze(config: FabricConfig, strategy: Strategy3D) -> (Analysis, f64) {
     let model = DnnModel::transformer_17b();
@@ -66,5 +68,55 @@ fn every_segment_attribution_matches_its_makespan() {
             run.attribution.total(),
             run.makespan
         );
+    }
+}
+
+/// Contention leaves are a pure function of the recorded events: two
+/// analyses of one recording in one process (each with freshly seeded
+/// hash maps) agree to the last bit. The attribution buckets come from
+/// the critical path and must agree too.
+#[test]
+fn contention_leaves_are_bit_identical_across_analyses() {
+    // The fault_sweep scenario: detours around 5% failed links pile
+    // several culprits onto one (link, victim) pair, where summation
+    // order shows in the last bits.
+    let model = DnnModel::transformer_17b();
+    let backend = FabricBackend::new(FabricConfig::FredD);
+    let strategy = Strategy3D::new(2, 5, 2);
+    let params = ScheduleParams::sweep_default(&model, strategy);
+    let healthy = simulate(&model, strategy, &backend, params).unwrap();
+    let at = Time::from_secs(healthy.total.as_secs() * 0.25);
+    let faults = FaultPlan::seeded_link_failures(&backend.topology(), 0.05, at, 0xF4ED);
+    let rec = Rc::new(RingRecorder::new());
+    simulate_faulted(&model, strategy, &backend, params, &faults, rec.clone()).unwrap();
+    assert_eq!(rec.overwritten(), 0, "trace must not overflow in this test");
+    let events = rec.events();
+    let leaves = |a: &Analysis| {
+        a.runs
+            .iter()
+            .map(|r| {
+                let contention: Vec<_> = r
+                    .contention
+                    .iter()
+                    .map(|c| {
+                        let bits = (c.overlap_secs.to_bits(), c.slowdown_secs.to_bits());
+                        (c.link, c.victim.clone(), c.culprit.clone(), bits)
+                    })
+                    .collect();
+                let buckets: Vec<u64> = fred::telemetry::Bucket::ALL
+                    .iter()
+                    .map(|&b| r.attribution.get(b).to_bits())
+                    .collect();
+                (contention, buckets)
+            })
+            .collect::<Vec<_>>()
+    };
+    let first = leaves(&Analysis::from_events(&events));
+    assert!(
+        first.iter().any(|(c, _)| !c.is_empty()),
+        "no contention to check"
+    );
+    for _ in 0..8 {
+        assert_eq!(leaves(&Analysis::from_events(&events)), first);
     }
 }

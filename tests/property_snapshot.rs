@@ -1,18 +1,17 @@
 //! Property tests for the snapshot/restore contract (DESIGN.md §12):
 //! capturing at *any* event boundary of a faulted, evicted or
 //! preempted run and resuming — through the full binary and JSON
-//! codecs — must be bit-identical to never having stopped, and damaged
-//! snapshot files must fail with typed errors, never panics.
+//! codecs — must be bit-identical to never having stopped, damaged
+//! snapshot files must fail with typed errors or restore and run,
+//! never panic, and the wire format is pinned byte for byte.
 
 use std::rc::Rc;
 
-use fred::cluster::{Cluster, ClusterConfig, ClusterState, JobClass, JobSpec};
+use fred::cluster::{Cluster, ClusterConfig, ClusterError, ClusterState, JobClass, JobSpec};
 use fred::core::codec::{self, SnapshotError};
 use fred::core::params::FabricConfig;
 use fred::core::placement::Strategy3D;
-use fred::core::snapshot::{
-    core_state_from_value, core_state_to_value, SimState, SIM_STATE_VERSION,
-};
+use fred::core::snapshot::{SimState, SIM_STATE_VERSION};
 use fred::mesh::topology::MeshFabric;
 use fred::sim::fault::FaultPlan;
 use fred::sim::flow::{FlowSpec, Priority};
@@ -146,7 +145,7 @@ fn every_boundary_of_a_faulted_evicted_run_resumes_bit_identically() {
         drive_plain(&mut net, &m, &mut step, &mut banked, Some(boundary));
         // Capture through the versioned container and BOTH codecs.
         let mut sim = SimState::new();
-        sim.insert("net", core_state_to_value(&net.snapshot()));
+        sim.insert("net", net.to_value());
         let from_bin = SimState::from_binary(&sim.to_binary()).unwrap();
         let from_json = SimState::from_json(&sim.to_json()).unwrap();
         assert_eq!(
@@ -157,8 +156,14 @@ fn every_boundary_of_a_faulted_evicted_run_resumes_bit_identically() {
             from_json, sim,
             "JSON codec not lossless at boundary {boundary}"
         );
-        let state = core_state_from_value(from_bin.section("net").unwrap()).unwrap();
-        let mut resumed = FlowNetwork::restore(m.clone_topology(), state);
+        let state = from_bin.section("net").unwrap();
+        let mut resumed =
+            FlowNetwork::from_value(m.clone_topology(), Rc::new(NullSink), state).unwrap();
+        assert_eq!(
+            &resumed.to_value(),
+            state,
+            "re-encoding a restore moved at boundary {boundary}"
+        );
         drive_plain(&mut resumed, &m, &mut step, &mut banked, None);
         assert_eq!(
             resumed.now().as_secs().to_bits(),
@@ -172,8 +177,10 @@ fn every_boundary_of_a_faulted_evicted_run_resumes_bit_identically() {
     }
 }
 
-#[test]
-fn cluster_boundaries_with_faults_and_preemption_resume_bit_identically() {
+/// Two Low jobs fill the wafer; the High arrival at `solo × 0.25`
+/// forces a preemption; the fault plan on low-a fires while it runs.
+/// Returns the config, the job list and the solo makespan.
+fn cluster_scenario() -> (ClusterConfig, Vec<JobSpec>, f64) {
     let model = DnnModel::resnet152();
     let strategy = Strategy3D::new(1, 10, 1);
     let params = ScheduleParams::sweep_default(&model, strategy);
@@ -183,8 +190,6 @@ fn cluster_boundaries_with_faults_and_preemption_resume_bit_identically() {
         .unwrap()
         .total
         .as_secs();
-    // Two Low jobs fill the wafer; the High arrival forces a
-    // preemption; the fault plan on low-a fires while it runs.
     let faults = FaultPlan::seeded_link_failures(
         &backend.topology(),
         0.03,
@@ -192,18 +197,20 @@ fn cluster_boundaries_with_faults_and_preemption_resume_bit_identically() {
         0xFA_17,
     );
     assert!(!faults.is_empty());
-    let mk = || {
-        vec![
-            job("low-a")
-                .with_class(JobClass::Low)
-                .with_faults(faults.clone()),
-            job("low-b").with_class(JobClass::Low),
-            job("high")
-                .with_class(JobClass::High)
-                .with_arrival(Time::from_secs(solo * 0.25)),
-        ]
-    };
-    let cfg = ClusterConfig::new(FabricConfig::FredD);
+    let jobs = vec![
+        job("low-a").with_class(JobClass::Low).with_faults(faults),
+        job("low-b").with_class(JobClass::Low),
+        job("high")
+            .with_class(JobClass::High)
+            .with_arrival(Time::from_secs(solo * 0.25)),
+    ];
+    (ClusterConfig::new(FabricConfig::FredD), jobs, solo)
+}
+
+#[test]
+fn cluster_boundaries_with_faults_and_preemption_resume_bit_identically() {
+    let (cfg, jobs, _) = cluster_scenario();
+    let mk = || jobs.clone();
 
     let mut reference = Cluster::new(cfg.clone(), mk(), Rc::new(NullSink)).unwrap();
     reference.run_to_completion().unwrap();
@@ -225,8 +232,14 @@ fn cluster_boundaries_with_faults_and_preemption_resume_bit_identically() {
             "binary codec not lossless at boundary {boundary}"
         );
         if boundary.is_multiple_of(7) {
-            let st = ClusterState::from_value(decoded.section("cluster").unwrap()).unwrap();
+            let section = decoded.section("cluster").unwrap();
+            let st = ClusterState::from_value(section).unwrap();
             let mut resumed = Cluster::restore(cfg.clone(), mk(), Rc::new(NullSink), st).unwrap();
+            assert_eq!(
+                &resumed.snapshot().to_value(),
+                section,
+                "re-encoding a restore moved at boundary {boundary}"
+            );
             resumed.run_to_completion().unwrap();
             let report = resumed.into_report();
             assert_eq!(
@@ -252,19 +265,81 @@ fn cluster_boundaries_with_faults_and_preemption_resume_bit_identically() {
     assert!(baseline.preemptions > 0, "scenario must actually preempt");
 }
 
+/// The scripted network capture the damage and wire-format tests
+/// share: the faulted script run to boundary 4, then wave 2 injected —
+/// a failed link, evicted flows, in-flight drains, pending completions
+/// and solver deltas still unsolved.
+fn net_capture(m: &MeshFabric) -> SimState {
+    let mut net = FlowNetwork::new(m.clone_topology());
+    net.inject_batch(wave1(m)).unwrap();
+    let (mut banked, mut step) = (Banked::new(), 0);
+    drive_plain(&mut net, m, &mut step, &mut banked, Some(4));
+    plain_actions(&mut net, m, step, &mut banked);
+    let mut sim = SimState::new();
+    sim.insert("net", net.to_value());
+    sim
+}
+
+/// The scripted cluster capture: [`cluster_scenario`] run to 30% of the
+/// solo makespan (after the preemption, before the fault fires).
+fn cluster_capture() -> SimState {
+    let (cfg, jobs, solo) = cluster_scenario();
+    let mut cluster = Cluster::new(cfg, jobs, Rc::new(NullSink)).unwrap();
+    cluster.run_until(Time::from_secs(solo * 0.3)).unwrap();
+    let mut sim = SimState::new();
+    sim.insert("cluster", cluster.snapshot().to_value());
+    sim
+}
+
+/// Decodes a network snapshot, restores it and runs it dry. Any panic
+/// fails the calling test.
+fn restore_and_run_net(m: &MeshFabric, bytes: &[u8]) -> Result<(), SnapshotError> {
+    let sim = SimState::from_binary(bytes)?;
+    let state = sim.section("net")?;
+    let mut net = FlowNetwork::from_value(m.clone_topology(), Rc::new(NullSink), state)?;
+    net.run_to_completion();
+    Ok(())
+}
+
 #[test]
 fn damaged_snapshot_files_yield_typed_errors_not_panics() {
     // A real snapshot to damage.
     let m = mesh();
-    let mut net = FlowNetwork::new(m.clone_topology());
-    net.inject_batch(wave1(&m)).unwrap();
-    if let Some(t) = net.next_event() {
-        net.advance_to(t);
-    }
-    let mut sim = SimState::new();
-    sim.insert("net", core_state_to_value(&net.snapshot()));
+    let sim = net_capture(&m);
     let good = sim.to_binary();
-    assert!(SimState::from_binary(&good).is_ok());
+    assert_eq!(restore_and_run_net(&m, &good), Ok(()));
+
+    // Every single-byte corruption of the network snapshot either fails
+    // typed or restores and runs to completion — it must never panic.
+    let mut typed = 0;
+    for i in 0..good.len() {
+        let mut bad = good.clone();
+        bad[i] = !bad[i];
+        typed += usize::from(restore_and_run_net(&m, &bad).is_err());
+    }
+    assert!(
+        typed > good.len() / 2,
+        "only {typed} corruptions were caught"
+    );
+
+    // Every 13th byte of a cluster snapshot: typed, or restore and run
+    // to completion (a damaged run may end in a typed cluster error).
+    let (cfg, jobs, _) = cluster_scenario();
+    let cluster_bin = cluster_capture().to_binary();
+    for i in (0..cluster_bin.len()).step_by(13) {
+        let mut bad = cluster_bin.clone();
+        bad[i] = !bad[i];
+        let Ok(state) = SimState::from_binary(&bad)
+            .and_then(|sim| ClusterState::from_value(sim.section("cluster")?))
+        else {
+            continue;
+        };
+        if let Ok(mut cluster) =
+            Cluster::restore(cfg.clone(), jobs.clone(), Rc::new(NullSink), state)
+        {
+            let _ = cluster.run_to_completion();
+        }
+    }
 
     // Wrong magic.
     let mut bad = good.clone();
@@ -288,15 +363,6 @@ fn damaged_snapshot_files_yield_typed_errors_not_panics() {
     }
     assert!(SimState::from_binary(&good[..good.len() - 1]).is_err());
 
-    // Every single-byte corruption either fails typed or decodes to
-    // *some* value — it must never panic. (Sampled stride keeps this
-    // fast; the interesting corruptions are tags/varints early on.)
-    for i in (12..good.len()).step_by(7) {
-        let mut bad = good.clone();
-        bad[i] ^= 0x55;
-        let _ = SimState::from_binary(&bad);
-    }
-
     // JSON damage: wrong magic/version are typed, truncation is a
     // parse error, and a structurally-valid but wrong-shaped document
     // is a typed mismatch.
@@ -311,9 +377,40 @@ fn damaged_snapshot_files_yield_typed_errors_not_panics() {
         format!(r#"{{"magic":"FREDSNAP","version":{SIM_STATE_VERSION},"sections":{{"net":42}}}}"#);
     let decoded = SimState::from_json(&wrong_shape).unwrap();
     assert!(matches!(
-        core_state_from_value(decoded.section("net").unwrap()),
+        FlowNetwork::from_value(
+            m.clone_topology(),
+            Rc::new(NullSink),
+            decoded.section("net").unwrap()
+        ),
         Err(SnapshotError::Mismatch(_))
     ));
+
+    // A sound snapshot paired with the wrong topology or job list is a
+    // typed mismatch too.
+    let other = MeshFabric::new(4, 3, 750e9, 128e9, 20e-9);
+    assert!(matches!(
+        FlowNetwork::from_value(
+            other.clone_topology(),
+            Rc::new(NullSink),
+            sim.section("net").unwrap()
+        ),
+        Err(SnapshotError::Mismatch(_))
+    ));
+    let state = ClusterState::from_value(
+        SimState::from_binary(&cluster_bin)
+            .unwrap()
+            .section("cluster")
+            .unwrap(),
+    )
+    .unwrap();
+    let err = Cluster::restore(cfg, jobs[..2].to_vec(), Rc::new(NullSink), state).err();
+    assert!(
+        matches!(
+            err,
+            Some(ClusterError::Snapshot(SnapshotError::Mismatch(_)))
+        ),
+        "{err:?}"
+    );
 
     // Codec-level detail: a valid header followed by a string whose
     // claimed length exceeds the buffer is typed, not an allocation.
@@ -322,6 +419,32 @@ fn damaged_snapshot_files_yield_typed_errors_not_panics() {
     claim.extend_from_slice(&codec::SNAPSHOT_VERSION.to_le_bytes());
     claim.extend_from_slice(&[4, 0xFF, 0xFF, 0xFF, 0x7F]);
     assert!(codec::from_binary(&claim).is_err());
+}
+
+/// 64-bit FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn wire_format_is_pinned_byte_for_byte() {
+    // Length and FNV-1a digest of the binary encodings of the two
+    // scripted captures. The values were computed by the build that
+    // predates per-layer `to_value`/`from_value` (the snapshot mirror
+    // structs and their converters), so they prove the refactor kept
+    // every field name, order and encoding. Any deliberate wire-format
+    // change must bump `SIM_STATE_VERSION` or `SNAPSHOT_VERSION` and
+    // re-pin these.
+    let net = net_capture(&mesh()).to_binary();
+    assert_eq!((net.len(), fnv1a(&net)), (8925, 0xec13_73c5_9472_9c27));
+    let cluster = cluster_capture().to_binary();
+    assert_eq!(
+        (cluster.len(), fnv1a(&cluster)),
+        (16058, 0x8c31_d2f6_7b80_5d3e)
+    );
+    assert_eq!((SIM_STATE_VERSION, codec::SNAPSHOT_VERSION), (2, 1));
 }
 
 #[test]
