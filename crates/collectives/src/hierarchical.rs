@@ -43,7 +43,7 @@ pub fn merge_concurrent(label: &str, plans: Vec<CommPlan>) -> CommPlan {
 /// use fred_sim::topology::Route;
 ///
 /// let clusters = vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]];
-/// let routes = |_s: usize, _d: usize| -> Route { vec![] };
+/// let routes = |_s: usize, _d: usize| -> Route { vec![].into() };
 /// let plan = all_reduce(&clusters, 800.0, Direction::Unidirectional, &routes);
 /// // intra RS (3) + inter AR (2) + intra AG (3)
 /// assert_eq!(plan.phase_count(), 8);
@@ -213,7 +213,7 @@ mod tests {
     use fred_sim::topology::Route;
 
     fn no_routes() -> impl RouteProvider {
-        |_s: usize, _d: usize| -> Route { vec![] }
+        |_s: usize, _d: usize| -> Route { vec![].into() }
     }
 
     #[test]

@@ -300,7 +300,7 @@ mod tests {
                 src: 0,
                 dst: 1,
                 bytes: 100.0,
-                route: vec![l[0]],
+                route: vec![l[0]].into(),
             }],
         });
         plan.phases.push(Phase {
@@ -308,7 +308,7 @@ mod tests {
                 src: 1,
                 dst: 2,
                 bytes: 100.0,
-                route: vec![l[1]],
+                route: vec![l[1]].into(),
             }],
         });
         let mut net = FlowNetwork::new(topo);
@@ -327,13 +327,13 @@ mod tests {
                     src: 0,
                     dst: 1,
                     bytes: 100.0,
-                    route: vec![l[0]],
+                    route: vec![l[0]].into(),
                 },
                 Transfer {
                     src: 0,
                     dst: 1,
                     bytes: 100.0,
-                    route: vec![l[0]],
+                    route: vec![l[0]].into(),
                 },
             ],
         });
@@ -359,7 +359,7 @@ mod tests {
                 src: 0,
                 dst: 1,
                 bytes: 100.0,
-                route: vec![l01],
+                route: vec![l01].into(),
             }],
         });
         let mut net = FlowNetwork::new(t);
@@ -385,7 +385,7 @@ mod tests {
                 src: 0,
                 dst: 1,
                 bytes: 1.0,
-                route: vec![fred_sim::topology::LinkId(99)],
+                route: vec![fred_sim::topology::LinkId(99)].into(),
             }],
         });
         let mut net = FlowNetwork::new(topo);
@@ -408,13 +408,13 @@ mod tests {
                     src: 0,
                     dst: 1,
                     bytes: 10.0,
-                    route: vec![l[0]],
+                    route: vec![l[0]].into(),
                 },
                 Transfer {
                     src: 1,
                     dst: 2,
                     bytes: 20.0,
-                    route: vec![l[1]],
+                    route: vec![l[1]].into(),
                 },
             ],
         });
@@ -440,7 +440,7 @@ mod tests {
 
     #[test]
     fn closure_is_a_route_provider() {
-        let provider = |_s: usize, _d: usize| -> Route { vec![] };
+        let provider = |_s: usize, _d: usize| -> Route { vec![].into() };
         assert!(RouteProvider::route(&provider, 0, 1).is_empty());
     }
 }

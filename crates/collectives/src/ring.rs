@@ -254,9 +254,9 @@ mod tests {
     impl RouteProvider for RingTopo {
         fn route(&self, src: usize, dst: usize) -> Route {
             if dst == (src + 1) % self.n {
-                vec![self.cw[src]]
+                self.topo.link_route(self.cw[src])
             } else if src == (dst + 1) % self.n {
-                vec![self.ccw[dst]]
+                self.topo.link_route(self.ccw[dst])
             } else {
                 panic!("ring test only routes neighbours ({src} -> {dst})")
             }
@@ -336,7 +336,7 @@ mod tests {
         let rt = ring_topo(4, 1.0);
         // Only check structure; routes need neighbours so use a full
         // route closure instead.
-        let routes = |_s: usize, _d: usize| -> Route { vec![] };
+        let routes = |_s: usize, _d: usize| -> Route { vec![].into() };
         let plan = all_to_all(&[0, 1, 2, 3], 100.0, &routes);
         assert_eq!(plan.phase_count(), 3);
         for (jm1, phase) in plan.phases.iter().enumerate() {
@@ -352,7 +352,7 @@ mod tests {
 
     #[test]
     fn p2p_and_multicast_structure() {
-        let routes = |_s: usize, _d: usize| -> Route { vec![] };
+        let routes = |_s: usize, _d: usize| -> Route { vec![].into() };
         let p = point_to_point(3, 7, 42.0, &routes);
         assert_eq!(p.phase_count(), 1);
         assert_eq!(p.total_bytes(), 42.0);

@@ -95,7 +95,7 @@ mod tests {
     use fred_sim::topology::Route;
 
     fn no_routes() -> impl RouteProvider {
-        |_s: usize, _d: usize| -> Route { vec![] }
+        |_s: usize, _d: usize| -> Route { vec![].into() }
     }
 
     #[test]

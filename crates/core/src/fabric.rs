@@ -16,7 +16,7 @@
 //! touches (§2.2), half the endpoint-based traffic.
 
 use fred_sim::flow::{FlowSpec, Priority};
-use fred_sim::topology::{LinkId, NodeId, NodeKind, Route, Topology};
+use fred_sim::topology::{LinkId, NodeId, NodeKind, Route, RouteMemo, Topology};
 
 use crate::params::{FabricConfig, PhysicalParams, NPUS_PER_L1};
 
@@ -55,6 +55,24 @@ pub struct WaferFabric {
     io_down: Vec<LinkId>,
     ext_to_io: Vec<LinkId>,
     io_to_ext: Vec<LinkId>,
+    /// Standard NPU and I/O routes, computed on first use and keyed by
+    /// [`RouteKind`] and endpoints. Detours are never memoized.
+    routes: RouteMemo<(RouteKind, usize, usize)>,
+}
+
+/// The route families [`WaferFabric`] memoizes; a memo key is a family and
+/// its `(from, to)` endpoint indices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum RouteKind {
+    Npu,
+    IoToNpu,
+    NpuToIo,
+    ExtToNpu,
+    NpuToExt,
+    /// I/O controller `io`'s L1 switch out to external memory (`(io, 0)`).
+    L1ToExt,
+    /// External memory into I/O controller `io`'s L1 switch (`(io, 0)`).
+    ExtToL1,
 }
 
 impl WaferFabric {
@@ -169,7 +187,20 @@ impl WaferFabric {
             io_down,
             ext_to_io,
             io_to_ext,
+            routes: RouteMemo::default(),
         }
+    }
+
+    /// The memoized `kind` route from `a` to `b` (NPU or I/O controller
+    /// indices, by kind), built by `links` on first use.
+    fn memo(
+        &self,
+        kind: RouteKind,
+        a: usize,
+        b: usize,
+        links: fn(&Self, usize, usize) -> Vec<LinkId>,
+    ) -> Route {
+        self.routes.get((kind, a, b), || links(self, a, b).into())
     }
 
     /// The underlying topology (pass to
@@ -273,12 +304,17 @@ impl WaferFabric {
     }
 
     /// Route between two NPUs: up to the common L1, or over the L2 spine.
+    /// Memoized: every call for one pair returns the same shared route.
     ///
     /// # Panics
     ///
     /// Panics if either index is out of range; returns an empty route if
     /// `a == b`.
     pub fn npu_route(&self, a: usize, b: usize) -> Route {
+        self.memo(RouteKind::Npu, a, b, Self::npu_links)
+    }
+
+    fn npu_links(&self, a: usize, b: usize) -> Vec<LinkId> {
         if a == b {
             return Vec::new();
         }
@@ -317,8 +353,46 @@ impl WaferFabric {
             .shortest_path_avoiding(self.npus[a], self.npus[b], blocked)
     }
 
-    /// Route from I/O controller `io` to NPU `npu`.
+    /// Route from I/O controller `io` to NPU `npu`. Memoized, like every
+    /// I/O route.
     pub fn io_to_npu_route(&self, io: usize, npu: usize) -> Route {
+        self.memo(RouteKind::IoToNpu, io, npu, Self::io_to_npu_links)
+    }
+
+    /// Route from NPU `npu` to I/O controller `io`.
+    pub fn npu_to_io_route(&self, npu: usize, io: usize) -> Route {
+        self.memo(RouteKind::NpuToIo, npu, io, Self::npu_to_io_links)
+    }
+
+    /// Route from external memory through `io` to `npu` (weight
+    /// streaming ingress).
+    pub fn ext_to_npu_route(&self, io: usize, npu: usize) -> Route {
+        self.memo(RouteKind::ExtToNpu, io, npu, Self::ext_to_npu_links)
+    }
+
+    /// Route from `npu` through `io` to external memory (gradient
+    /// streaming egress).
+    pub fn npu_to_ext_route(&self, npu: usize, io: usize) -> Route {
+        self.memo(RouteKind::NpuToExt, npu, io, Self::npu_to_ext_links)
+    }
+
+    /// The in-network egress leg from `io`'s L1 switch out to external
+    /// memory.
+    fn l1_to_ext_route(&self, io: usize) -> Route {
+        self.memo(RouteKind::L1ToExt, io, 0, |f, io, _| {
+            vec![f.io_down[io], f.io_to_ext[io]]
+        })
+    }
+
+    /// The in-network ingress leg from external memory into `io`'s L1
+    /// switch.
+    fn ext_to_l1_route(&self, io: usize) -> Route {
+        self.memo(RouteKind::ExtToL1, io, 0, |f, io, _| {
+            vec![f.ext_to_io[io], f.io_up[io]]
+        })
+    }
+
+    fn io_to_npu_links(&self, io: usize, npu: usize) -> Vec<LinkId> {
         let (li, ln) = (self.l1_of_io[io], self.l1_of_npu[npu]);
         if li == ln {
             vec![self.io_up[io], self.npu_down[npu]]
@@ -332,8 +406,7 @@ impl WaferFabric {
         }
     }
 
-    /// Route from NPU `npu` to I/O controller `io`.
-    pub fn npu_to_io_route(&self, npu: usize, io: usize) -> Route {
+    fn npu_to_io_links(&self, npu: usize, io: usize) -> Vec<LinkId> {
         let (ln, li) = (self.l1_of_npu[npu], self.l1_of_io[io]);
         if ln == li {
             vec![self.npu_up[npu], self.io_down[io]]
@@ -347,18 +420,14 @@ impl WaferFabric {
         }
     }
 
-    /// Route from external memory through `io` to `npu` (weight
-    /// streaming ingress).
-    pub fn ext_to_npu_route(&self, io: usize, npu: usize) -> Route {
+    fn ext_to_npu_links(&self, io: usize, npu: usize) -> Vec<LinkId> {
         let mut r = vec![self.ext_to_io[io]];
-        r.extend(self.io_to_npu_route(io, npu));
+        r.extend(self.io_to_npu_links(io, npu));
         r
     }
 
-    /// Route from `npu` through `io` to external memory (gradient
-    /// streaming egress).
-    pub fn npu_to_ext_route(&self, npu: usize, io: usize) -> Route {
-        let mut r = self.npu_to_io_route(npu, io);
+    fn npu_to_ext_links(&self, npu: usize, io: usize) -> Vec<LinkId> {
+        let mut r = self.npu_to_io_links(npu, io);
         r.push(self.io_to_ext[io]);
         r
     }
@@ -390,13 +459,13 @@ impl WaferFabric {
         for &n in group {
             // Up: NPU -> L1 (reduced in the L1 switch).
             flows.push(
-                FlowSpec::new(vec![self.npu_up[n]], bytes)
+                FlowSpec::new(self.topo.link_route(self.npu_up[n]), bytes)
                     .with_priority(priority)
                     .with_tag(tag),
             );
             // Down: L1 -> NPU (broadcast from the L1 switch).
             flows.push(
-                FlowSpec::new(vec![self.npu_down[n]], bytes)
+                FlowSpec::new(self.topo.link_route(self.npu_down[n]), bytes)
                     .with_priority(priority)
                     .with_tag(tag),
             );
@@ -405,12 +474,12 @@ impl WaferFabric {
             for part in &parts {
                 let l1 = self.l1_of_npu[part[0]];
                 flows.push(
-                    FlowSpec::new(vec![self.l1_up[l1]], bytes)
+                    FlowSpec::new(self.topo.link_route(self.l1_up[l1]), bytes)
                         .with_priority(priority)
                         .with_tag(tag),
                 );
                 flows.push(
-                    FlowSpec::new(vec![self.l1_down[l1]], bytes)
+                    FlowSpec::new(self.topo.link_route(self.l1_down[l1]), bytes)
                         .with_priority(priority)
                         .with_tag(tag),
                 );
@@ -440,7 +509,7 @@ impl WaferFabric {
         let mut flows = Vec::new();
         for &n in group {
             flows.push(
-                FlowSpec::new(vec![self.npu_up[n]], bytes)
+                FlowSpec::new(self.topo.link_route(self.npu_up[n]), bytes)
                     .with_priority(priority)
                     .with_tag(tag),
             );
@@ -454,7 +523,7 @@ impl WaferFabric {
             if l1 != io_l1 {
                 remote = true;
                 flows.push(
-                    FlowSpec::new(vec![self.l1_up[l1]], bytes)
+                    FlowSpec::new(self.topo.link_route(self.l1_up[l1]), bytes)
                         .with_priority(priority)
                         .with_tag(tag),
                 );
@@ -462,13 +531,13 @@ impl WaferFabric {
         }
         if remote {
             flows.push(
-                FlowSpec::new(vec![self.l1_down[io_l1]], bytes)
+                FlowSpec::new(self.topo.link_route(self.l1_down[io_l1]), bytes)
                     .with_priority(priority)
                     .with_tag(tag),
             );
         }
         flows.push(
-            FlowSpec::new(vec![self.io_down[io], self.io_to_ext[io]], bytes)
+            FlowSpec::new(self.l1_to_ext_route(io), bytes)
                 .with_priority(priority)
                 .with_tag(tag),
         );
@@ -495,7 +564,7 @@ impl WaferFabric {
         let io_l1 = self.l1_of_io[io];
         let mut flows = Vec::new();
         flows.push(
-            FlowSpec::new(vec![self.ext_to_io[io], self.io_up[io]], bytes)
+            FlowSpec::new(self.ext_to_l1_route(io), bytes)
                 .with_priority(priority)
                 .with_tag(tag),
         );
@@ -506,7 +575,7 @@ impl WaferFabric {
             if l1 != io_l1 {
                 remote = true;
                 flows.push(
-                    FlowSpec::new(vec![self.l1_down[l1]], bytes)
+                    FlowSpec::new(self.topo.link_route(self.l1_down[l1]), bytes)
                         .with_priority(priority)
                         .with_tag(tag),
                 );
@@ -514,14 +583,14 @@ impl WaferFabric {
         }
         if remote {
             flows.push(
-                FlowSpec::new(vec![self.l1_up[io_l1]], bytes)
+                FlowSpec::new(self.topo.link_route(self.l1_up[io_l1]), bytes)
                     .with_priority(priority)
                     .with_tag(tag),
             );
         }
         for &n in group {
             flows.push(
-                FlowSpec::new(vec![self.npu_down[n]], bytes)
+                FlowSpec::new(self.topo.link_route(self.npu_down[n]), bytes)
                     .with_priority(priority)
                     .with_tag(tag),
             );
@@ -552,12 +621,12 @@ impl WaferFabric {
         let parts = self.partition_by_l1(group);
         for &m in group {
             flows.push(
-                FlowSpec::new(vec![self.npu_up[m]], bytes)
+                FlowSpec::new(self.topo.link_route(self.npu_up[m]), bytes)
                     .with_priority(priority)
                     .with_tag(tag),
             );
             flows.push(
-                FlowSpec::new(vec![self.npu_down[m]], bytes / n)
+                FlowSpec::new(self.topo.link_route(self.npu_down[m]), bytes / n)
                     .with_priority(priority)
                     .with_tag(tag),
             );
@@ -567,14 +636,17 @@ impl WaferFabric {
                 let l1 = self.l1_of_npu[part[0]];
                 // Partial sums up (full payload), shards down.
                 flows.push(
-                    FlowSpec::new(vec![self.l1_up[l1]], bytes)
+                    FlowSpec::new(self.topo.link_route(self.l1_up[l1]), bytes)
                         .with_priority(priority)
                         .with_tag(tag),
                 );
                 flows.push(
-                    FlowSpec::new(vec![self.l1_down[l1]], bytes * part.len() as f64 / n)
-                        .with_priority(priority)
-                        .with_tag(tag),
+                    FlowSpec::new(
+                        self.topo.link_route(self.l1_down[l1]),
+                        bytes * part.len() as f64 / n,
+                    )
+                    .with_priority(priority)
+                    .with_tag(tag),
                 );
             }
         }
@@ -604,12 +676,12 @@ impl WaferFabric {
         let parts = self.partition_by_l1(group);
         for &m in group {
             flows.push(
-                FlowSpec::new(vec![self.npu_up[m]], bytes / n)
+                FlowSpec::new(self.topo.link_route(self.npu_up[m]), bytes / n)
                     .with_priority(priority)
                     .with_tag(tag),
             );
             flows.push(
-                FlowSpec::new(vec![self.npu_down[m]], bytes)
+                FlowSpec::new(self.topo.link_route(self.npu_down[m]), bytes)
                     .with_priority(priority)
                     .with_tag(tag),
             );
@@ -618,12 +690,15 @@ impl WaferFabric {
             for part in &parts {
                 let l1 = self.l1_of_npu[part[0]];
                 flows.push(
-                    FlowSpec::new(vec![self.l1_up[l1]], bytes * part.len() as f64 / n)
-                        .with_priority(priority)
-                        .with_tag(tag),
+                    FlowSpec::new(
+                        self.topo.link_route(self.l1_up[l1]),
+                        bytes * part.len() as f64 / n,
+                    )
+                    .with_priority(priority)
+                    .with_tag(tag),
                 );
                 flows.push(
-                    FlowSpec::new(vec![self.l1_down[l1]], bytes)
+                    FlowSpec::new(self.topo.link_route(self.l1_down[l1]), bytes)
                         .with_priority(priority)
                         .with_tag(tag),
                 );
@@ -655,7 +730,7 @@ impl WaferFabric {
             return flows;
         }
         flows.push(
-            FlowSpec::new(vec![self.npu_up[src]], bytes)
+            FlowSpec::new(self.topo.link_route(self.npu_up[src]), bytes)
                 .with_priority(priority)
                 .with_tag(tag),
         );
@@ -663,7 +738,7 @@ impl WaferFabric {
         let spans = parts.iter().any(|p| self.l1_of_npu[p[0]] != src_l1);
         if spans {
             flows.push(
-                FlowSpec::new(vec![self.l1_up[src_l1]], bytes)
+                FlowSpec::new(self.topo.link_route(self.l1_up[src_l1]), bytes)
                     .with_priority(priority)
                     .with_tag(tag),
             );
@@ -671,7 +746,7 @@ impl WaferFabric {
                 let l1 = self.l1_of_npu[part[0]];
                 if l1 != src_l1 {
                     flows.push(
-                        FlowSpec::new(vec![self.l1_down[l1]], bytes)
+                        FlowSpec::new(self.topo.link_route(self.l1_down[l1]), bytes)
                             .with_priority(priority)
                             .with_tag(tag),
                     );
@@ -680,7 +755,7 @@ impl WaferFabric {
         }
         for &d in &real_dsts {
             flows.push(
-                FlowSpec::new(vec![self.npu_down[d]], bytes)
+                FlowSpec::new(self.topo.link_route(self.npu_down[d]), bytes)
                     .with_priority(priority)
                     .with_tag(tag),
             );
@@ -700,6 +775,7 @@ impl WaferFabric {
 mod tests {
     use super::*;
     use crate::params::{FabricConfig, PhysicalParams, TBPS};
+    use std::rc::Rc;
 
     fn fabric(c: FabricConfig) -> WaferFabric {
         WaferFabric::new(c, &PhysicalParams::paper())
@@ -779,6 +855,43 @@ mod tests {
         // trunk that the same-L1 route never touches: route unchanged.
         let r = f.npu_route_avoiding(0, 3, |l| l == dead).unwrap();
         assert_eq!(r, f.npu_route(0, 3));
+    }
+
+    #[test]
+    fn memoized_routes_match_fresh_ones_and_are_shared() {
+        let f = fabric(FabricConfig::FredD);
+        let same = |memo: &dyn Fn() -> Route, fresh: Vec<LinkId>| {
+            let (r1, r2) = (memo(), memo());
+            assert_eq!(*r1, fresh[..]);
+            assert!(Rc::ptr_eq(&r1, &r2), "second call recomputed the route");
+        };
+        for a in 0..f.npu_count() {
+            for b in 0..f.npu_count() {
+                same(&|| f.npu_route(a, b), f.npu_links(a, b));
+            }
+            for io in 0..f.io_count() {
+                same(&|| f.io_to_npu_route(io, a), f.io_to_npu_links(io, a));
+                same(&|| f.npu_to_io_route(a, io), f.npu_to_io_links(a, io));
+                same(&|| f.ext_to_npu_route(io, a), f.ext_to_npu_links(io, a));
+                same(&|| f.npu_to_ext_route(a, io), f.npu_to_ext_links(a, io));
+            }
+        }
+        for io in 0..f.io_count() {
+            same(
+                &|| f.l1_to_ext_route(io),
+                vec![f.io_down[io], f.io_to_ext[io]],
+            );
+            same(
+                &|| f.ext_to_l1_route(io),
+                vec![f.ext_to_io[io], f.io_up[io]],
+            );
+        }
+        // In-network flows share the topology's one-link routes.
+        let flows = f.in_network_all_reduce(&[0, 1], 1.0, Priority::Dp, 0);
+        assert!(Rc::ptr_eq(
+            &flows[0].route,
+            &f.topology().link_route(f.npu_up[0])
+        ));
     }
 
     #[test]

@@ -195,12 +195,12 @@ impl MultiWafer {
                 let g = w * self.npus_per_wafer + i;
                 // Step 1 up + step 3 down on every NPU link.
                 flows.push(
-                    FlowSpec::new(vec![self.npu_up[g]], bytes)
+                    FlowSpec::new(self.topo.link_route(self.npu_up[g]), bytes)
                         .with_priority(priority)
                         .with_tag(tag),
                 );
                 flows.push(
-                    FlowSpec::new(vec![self.npu_down[g]], bytes)
+                    FlowSpec::new(self.topo.link_route(self.npu_down[g]), bytes)
                         .with_priority(priority)
                         .with_tag(tag),
                 );
@@ -210,12 +210,12 @@ impl MultiWafer {
                 // Partial sums converge over L2 (step 1) and the result
                 // fans back out (step 3).
                 flows.push(
-                    FlowSpec::new(vec![self.l1_up[g]], bytes)
+                    FlowSpec::new(self.topo.link_route(self.l1_up[g]), bytes)
                         .with_priority(priority)
                         .with_tag(tag),
                 );
                 flows.push(
-                    FlowSpec::new(vec![self.l1_down[g]], bytes)
+                    FlowSpec::new(self.topo.link_route(self.l1_down[g]), bytes)
                         .with_priority(priority)
                         .with_tag(tag),
                 );
@@ -224,14 +224,20 @@ impl MultiWafer {
             for b in 0..self.boundary_per_wafer {
                 let g = w * self.boundary_per_wafer + b;
                 flows.push(
-                    FlowSpec::new(vec![self.ring_fwd[g]], shard * w_traffic / 2.0)
-                        .with_priority(priority)
-                        .with_tag(tag),
+                    FlowSpec::new(
+                        self.topo.link_route(self.ring_fwd[g]),
+                        shard * w_traffic / 2.0,
+                    )
+                    .with_priority(priority)
+                    .with_tag(tag),
                 );
                 flows.push(
-                    FlowSpec::new(vec![self.ring_rev[g]], shard * w_traffic / 2.0)
-                        .with_priority(priority)
-                        .with_tag(tag),
+                    FlowSpec::new(
+                        self.topo.link_route(self.ring_rev[g]),
+                        shard * w_traffic / 2.0,
+                    )
+                    .with_priority(priority)
+                    .with_tag(tag),
                 );
             }
         }

@@ -94,7 +94,7 @@ pub fn streaming_in_flows(
     ];
     for l in broadcast_tree_links(mesh, io) {
         flows.push(
-            FlowSpec::new(vec![l], bytes)
+            FlowSpec::new(mesh.topology().link_route(l), bytes)
                 .with_priority(priority)
                 .with_tag(tag),
         );
@@ -120,7 +120,7 @@ pub fn streaming_out_flows(
             .find_link(link.dst, link.src)
             .expect("mesh links are duplex");
         flows.push(
-            FlowSpec::new(vec![rev], bytes)
+            FlowSpec::new(topo.link_route(rev), bytes)
                 .with_priority(priority)
                 .with_tag(tag),
         );

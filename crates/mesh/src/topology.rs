@@ -8,7 +8,7 @@
 //! for the paper's 5×4 instance. Each controller also links to the
 //! off-wafer external memory.
 
-use fred_sim::topology::{LinkId, NodeId, NodeKind, Route, Topology};
+use fred_sim::topology::{LinkId, NodeId, NodeKind, Route, RouteMemo, Topology};
 
 use fred_collectives::plan::RouteProvider;
 
@@ -65,6 +65,20 @@ pub struct MeshFabric {
     io_out: Vec<LinkId>,
     ext_to_io: Vec<LinkId>,
     io_to_ext: Vec<LinkId>,
+    /// Standard NPU and I/O routes, computed on first use and keyed by
+    /// [`RouteKind`] and endpoints. Detours are never memoized.
+    routes: RouteMemo<(RouteKind, usize, usize)>,
+}
+
+/// The route families [`MeshFabric`] memoizes; a memo key is a family and
+/// its `(from, to)` endpoint indices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum RouteKind {
+    Npu,
+    IoToNpu,
+    NpuToIo,
+    ExtToNpu,
+    NpuToExt,
 }
 
 const EAST: usize = 0;
@@ -174,7 +188,20 @@ impl MeshFabric {
             io_out,
             ext_to_io,
             io_to_ext,
+            routes: RouteMemo::default(),
         }
+    }
+
+    /// The memoized `kind` route from `a` to `b` (NPU or I/O controller
+    /// indices, by kind), built by `links` on first use.
+    fn memo(
+        &self,
+        kind: RouteKind,
+        a: usize,
+        b: usize,
+        links: fn(&Self, usize, usize) -> Vec<LinkId>,
+    ) -> Route {
+        self.routes.get((kind, a, b), || links(self, a, b).into())
     }
 
     fn entry_of(ch: &IoChannel, cols: usize, rows: usize) -> usize {
@@ -267,8 +294,17 @@ impl MeshFabric {
 
     /// X-Y (dimension-ordered) route between two NPUs: traverse the x
     /// dimension first, then y — the deterministic routing used in real
-    /// mesh systems (§7.2).
+    /// mesh systems (§7.2). Memoized: every call for one pair returns
+    /// the same shared route.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
     pub fn xy_route(&self, src: usize, dst: usize) -> Route {
+        self.memo(RouteKind::Npu, src, dst, Self::xy_links)
+    }
+
+    fn xy_links(&self, src: usize, dst: usize) -> Vec<LinkId> {
         let (mut x, mut y) = self.coords(src);
         let (dx, dy) = self.coords(dst);
         let mut route = Vec::new();
@@ -297,8 +333,12 @@ impl MeshFabric {
 
     /// Y-X (y first, then x) route between two NPUs — the secondary
     /// dimension order, used as the first detour when the X-Y route
-    /// crosses a failed link.
+    /// crosses a failed link. A detour, so computed afresh every call.
     pub fn yx_route(&self, src: usize, dst: usize) -> Route {
+        self.yx_links(src, dst).into()
+    }
+
+    fn yx_links(&self, src: usize, dst: usize) -> Vec<LinkId> {
         let (mut x, mut y) = self.coords(src);
         let (dx, dy) = self.coords(dst);
         let mut route = Vec::new();
@@ -349,29 +389,46 @@ impl MeshFabric {
     }
 
     /// Route from I/O controller `io` into NPU `npu` (X-Y after entry).
+    /// Memoized, like every I/O route.
     pub fn io_to_npu_route(&self, io: usize, npu: usize) -> Route {
-        let mut r = vec![self.io_in[io]];
-        r.extend(self.xy_route(self.io_entry_npu(io), npu));
-        r
+        self.memo(RouteKind::IoToNpu, io, npu, Self::io_to_npu_links)
     }
 
     /// Route from NPU `npu` out through I/O controller `io`.
     pub fn npu_to_io_route(&self, npu: usize, io: usize) -> Route {
-        let mut r = self.xy_route(npu, self.io_entry_npu(io));
-        r.push(self.io_out[io]);
-        r
+        self.memo(RouteKind::NpuToIo, npu, io, Self::npu_to_io_links)
     }
 
     /// Route from external memory through `io` to `npu`.
     pub fn ext_to_npu_route(&self, io: usize, npu: usize) -> Route {
-        let mut r = vec![self.ext_to_io[io]];
-        r.extend(self.io_to_npu_route(io, npu));
-        r
+        self.memo(RouteKind::ExtToNpu, io, npu, Self::ext_to_npu_links)
     }
 
     /// Route from `npu` through `io` to external memory.
     pub fn npu_to_ext_route(&self, npu: usize, io: usize) -> Route {
-        let mut r = self.npu_to_io_route(npu, io);
+        self.memo(RouteKind::NpuToExt, npu, io, Self::npu_to_ext_links)
+    }
+
+    fn io_to_npu_links(&self, io: usize, npu: usize) -> Vec<LinkId> {
+        let mut r = vec![self.io_in[io]];
+        r.extend(self.xy_links(self.io_entry_npu(io), npu));
+        r
+    }
+
+    fn npu_to_io_links(&self, npu: usize, io: usize) -> Vec<LinkId> {
+        let mut r = self.xy_links(npu, self.io_entry_npu(io));
+        r.push(self.io_out[io]);
+        r
+    }
+
+    fn ext_to_npu_links(&self, io: usize, npu: usize) -> Vec<LinkId> {
+        let mut r = vec![self.ext_to_io[io]];
+        r.extend(self.io_to_npu_links(io, npu));
+        r
+    }
+
+    fn npu_to_ext_links(&self, npu: usize, io: usize) -> Vec<LinkId> {
+        let mut r = self.npu_to_io_links(npu, io);
         r.push(self.io_to_ext[io]);
         r
     }
@@ -400,6 +457,7 @@ impl RouteProvider for MeshFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
 
     #[test]
     fn paper_baseline_shape() {
@@ -543,6 +601,29 @@ mod tests {
                     .unwrap();
             }
         }
+    }
+
+    #[test]
+    fn memoized_routes_match_fresh_ones_and_are_shared() {
+        let m = MeshFabric::paper_baseline();
+        let same = |memo: &dyn Fn() -> Route, fresh: Vec<LinkId>| {
+            let (r1, r2) = (memo(), memo());
+            assert_eq!(*r1, fresh[..]);
+            assert!(Rc::ptr_eq(&r1, &r2), "second call recomputed the route");
+        };
+        for a in 0..m.npu_count() {
+            for b in 0..m.npu_count() {
+                same(&|| m.xy_route(a, b), m.xy_links(a, b));
+            }
+            for io in 0..m.io_count() {
+                same(&|| m.io_to_npu_route(io, a), m.io_to_npu_links(io, a));
+                same(&|| m.npu_to_io_route(a, io), m.npu_to_io_links(a, io));
+                same(&|| m.ext_to_npu_route(io, a), m.ext_to_npu_links(io, a));
+                same(&|| m.npu_to_ext_route(a, io), m.npu_to_ext_links(a, io));
+            }
+        }
+        // Detours are fresh routes, never memo entries.
+        assert!(!Rc::ptr_eq(&m.yx_route(0, 19), &m.yx_route(0, 19)));
     }
 
     #[test]

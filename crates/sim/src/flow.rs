@@ -107,18 +107,19 @@ pub struct FlowSpec {
 
 impl FlowSpec {
     /// Creates a flow over `route` carrying `bytes` bytes at the default
-    /// ([`Priority::Bulk`]) priority.
+    /// ([`Priority::Bulk`]) priority. Passing a [`Route`] shares it;
+    /// a `Vec<LinkId>` is converted into a new one.
     ///
     /// # Panics
     ///
     /// Panics if `bytes` is negative or not finite.
-    pub fn new(route: Route, bytes: f64) -> FlowSpec {
+    pub fn new(route: impl Into<Route>, bytes: f64) -> FlowSpec {
         assert!(
             bytes.is_finite() && bytes >= 0.0,
             "flow size must be finite and non-negative, got {bytes}"
         );
         FlowSpec {
-            route,
+            route: route.into(),
             bytes,
             priority: Priority::default(),
             tag: 0,
@@ -166,7 +167,7 @@ mod tests {
         let f = FlowSpec::new(vec![LinkId(3)], 10.0)
             .with_priority(Priority::Dp)
             .with_tag(42);
-        assert_eq!(f.route, vec![LinkId(3)]);
+        assert_eq!(*f.route, [LinkId(3)]);
         assert_eq!(f.priority, Priority::Dp);
         assert_eq!(f.tag, 42);
         assert_eq!(f.tenant, 0, "default tenant is rank 0");

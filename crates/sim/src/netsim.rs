@@ -44,8 +44,8 @@ use crate::ensure;
 use crate::flow::{FlowId, FlowSpec, Priority};
 use crate::snapshot::{
     arr_of, bools, bools_of, dur_of, f64_of, f64s, f64s_of, field, non_null, priority_from_value,
-    priority_to_value, tenant_of, time_of, tuple_of, u64_of, usize_of, usizes, usizes_of, v_dur,
-    v_f64, v_time, v_u64,
+    priority_to_value, route_value, tenant_of, time_of, tuple_of, u64_of, usize_of, v_dur, v_f64,
+    v_time, v_u64,
 };
 use crate::solver::{FairShareSolver, FlowKey, SolverStats};
 use crate::time::{Duration, Time};
@@ -97,8 +97,8 @@ pub fn global_heap_compactions() -> u64 {
 #[derive(Debug, Clone)]
 struct ActiveFlow {
     id: FlowId,
-    /// Route as raw link indices (allocator-friendly).
-    links: Vec<usize>,
+    /// The injected route, shared with the spec and the solver.
+    route: Route,
     priority: Priority,
     tenant: u8,
     tag: u64,
@@ -411,16 +411,29 @@ impl FlowNetwork {
     /// the topology or crosses a link killed by
     /// [`FlowNetwork::fail_link`]. The network is unchanged on error.
     pub fn inject(&mut self, spec: FlowSpec) -> Result<FlowId, RouteError> {
-        self.topo.validate_route(&spec.route)?;
-        if let Some(&dead) = spec.route.iter().find(|l| self.failed[l.0]) {
-            return Err(RouteError::FailedLink(dead));
+        self.check_route(&spec.route)?;
+        Ok(self.inject_checked(spec))
+    }
+
+    /// Why the network would reject a flow over `route`, if it would:
+    /// not a contiguous path, or crossing a failed link.
+    fn check_route(&self, route: &[LinkId]) -> Result<(), RouteError> {
+        self.topo.validate_route(route)?;
+        match route.iter().find(|l| self.failed[l.0]) {
+            Some(&dead) => Err(RouteError::FailedLink(dead)),
+            None => Ok(()),
         }
+    }
+
+    /// [`FlowNetwork::inject`] for a spec whose route already passed
+    /// [`FlowNetwork::check_route`].
+    fn inject_checked(&mut self, spec: FlowSpec) -> FlowId {
         let id = FlowId(self.next_id);
         self.next_id += 1;
         let latency = self.topo.route_latency(&spec.route);
         let flow = ActiveFlow {
             id,
-            links: spec.route.iter().map(|l| l.0).collect(),
+            route: spec.route,
             priority: spec.priority,
             tenant: spec.tenant,
             tag: spec.tag,
@@ -440,17 +453,17 @@ impl FlowNetwork {
                 tag: flow.tag,
                 bytes: spec.bytes,
                 track: track_of(flow.priority),
-                links: flow.links.iter().map(|&l| l as u32).collect(),
+                links: flow.route.iter().map(|l| l.0 as u32).collect(),
             });
         }
-        if flow.remaining <= DRAIN_EPS || flow.links.is_empty() {
+        if flow.remaining <= DRAIN_EPS || flow.route.is_empty() {
             // Nothing to drain (or node-local): completes after latency.
             self.count_event(); // its drain is implicit
             self.push_pending(flow);
         } else {
             // Single-tenant runs hit the same solver arithmetic as
             // before tenancy existed (see `ActiveFlow::class`).
-            let key = self.solver.add_flow_class(&flow.links, flow.class());
+            let key = self.solver.add_route(flow.route.clone(), flow.class());
             let slot = key.0 as usize;
             if slot == self.flows.len() {
                 self.flows.push(Some(flow));
@@ -460,7 +473,7 @@ impl FlowNetwork {
             }
             self.active_count += 1;
         }
-        Ok(id)
+        id
     }
 
     /// Injects several flows at the current time. Since the solver runs
@@ -471,18 +484,18 @@ impl FlowNetwork {
     /// # Errors
     ///
     /// Returns the first [`RouteError`] among the specs. Every route is
-    /// validated up front, so on error *no* flow has been injected —
-    /// a phase either starts whole or not at all.
+    /// validated up front, and only once, so on error *no* flow has
+    /// been injected — a phase either starts whole or not at all.
     pub fn inject_batch(&mut self, specs: Vec<FlowSpec>) -> Result<Vec<FlowId>, RouteError> {
         let _prof = fred_telemetry::prof::scope("netsim.inject_batch");
         fred_telemetry::prof::record_value("netsim.inject_batch_flows", specs.len() as f64);
         for spec in &specs {
-            self.topo.validate_route(&spec.route)?;
-            if let Some(&dead) = spec.route.iter().find(|l| self.failed[l.0]) {
-                return Err(RouteError::FailedLink(dead));
-            }
+            self.check_route(&spec.route)?;
         }
-        specs.into_iter().map(|spec| self.inject(spec)).collect()
+        Ok(specs
+            .into_iter()
+            .map(|spec| self.inject_checked(spec))
+            .collect())
     }
 
     /// Current capacity of a link (bytes/s): the topology bandwidth,
@@ -530,7 +543,7 @@ impl FlowNetwork {
         self.failed[link.0] = true;
         self.capacities[link.0] = 0.0;
         self.solver.set_capacity(link.0, 0.0);
-        let evicted = self.evict_where(|f| f.links.contains(&link.0));
+        let evicted = self.evict_where(|f| f.route.contains(&link));
         if self.tracing {
             self.sink.record(TraceEvent::Fault {
                 t: self.now.as_secs(),
@@ -605,7 +618,7 @@ impl FlowNetwork {
         let moved = self.in_flight_bytes(&f);
         f.debit(moved);
         f.ledger.assert_conserved(f.remaining);
-        for &l in &f.links {
+        for &LinkId(l) in f.route.iter() {
             self.link_bytes[l] += moved;
         }
         self.solver.remove_flow(FlowKey(slot as u32));
@@ -616,7 +629,7 @@ impl FlowNetwork {
             priority: f.priority,
             tenant: f.tenant,
             remaining_bytes: f.remaining,
-            route: f.links.iter().map(|&l| LinkId(l)).collect(),
+            route: f.route,
             injected_at: f.injected_at,
         }
     }
@@ -667,7 +680,7 @@ impl FlowNetwork {
             if f.rate > 0.0 && dt > 0.0 {
                 let moved = (f.rate * dt).min(f.remaining);
                 f.debit(moved);
-                for &l in &f.links {
+                for &LinkId(l) in f.route.iter() {
                     self.link_bytes[l] += moved;
                 }
             }
@@ -679,9 +692,15 @@ impl FlowNetwork {
             f.rate = self.solver.rate(key);
             // Feasibility: no allocation can beat the flow's solo
             // (bottleneck-capacity) rate — the ideal rate the analysis
-            // layer re-costs against.
+            // layer re-costs against ([`crate::fairshare::solo_rate`],
+            // read off the route in place so the check allocates nothing).
             debug_assert!(
-                f.rate <= crate::fairshare::solo_rate(&self.capacities, &f.links) + 1e-9,
+                f.rate
+                    <= f.route
+                        .iter()
+                        .map(|l| self.capacities[l.0])
+                        .fold(f64::INFINITY, f64::min)
+                        + 1e-9,
                 "allocated rate exceeds contention-free rate"
             );
             // Re-predict the drain. The old heap entry (if any) is
@@ -857,7 +876,7 @@ impl FlowNetwork {
             // The prediction is exact for a constant rate, so the
             // un-debited bytes are the flow's full `remaining` (modulo
             // float residue, which we settle here rather than simulate).
-            for &l in &f.links {
+            for &LinkId(l) in f.route.iter() {
                 self.link_bytes[l] += f.remaining;
             }
             self.solver.remove_flow(FlowKey(slot as u32));
@@ -931,7 +950,7 @@ impl FlowNetwork {
     pub fn link_carried_bytes(&self, link: LinkId) -> f64 {
         let mut total = self.link_bytes[link.0];
         for f in self.flows.iter().flatten() {
-            if f.links.contains(&link.0) {
+            if f.route.contains(&link) {
                 total += self.in_flight_bytes(f);
             }
         }
@@ -1038,12 +1057,15 @@ impl FlowNetwork {
         let mut net = FlowNetwork::idle(topo, sink);
         net.now = time_of(get("now")?, ctx)?;
         net.next_id = u64_of(get("next_id")?, ctx)?;
-        for slot in arr_of(get("flows")?, ctx)? {
-            net.flows
-                .push(non_null(slot).map(ActiveFlow::from_value).transpose()?);
+        // The solver first: each live flow shares the route the solver
+        // decoded for its slot instead of decoding a copy.
+        net.solver = FairShareSolver::from_value(get("solver")?)?;
+        for (slot, v) in arr_of(get("flows")?, ctx)?.iter().enumerate() {
+            let route = net.solver.route_at(slot);
+            let flow = non_null(v).map(|v| ActiveFlow::from_value(v, route));
+            net.flows.push(flow.transpose()?);
         }
         net.active_count = usize_of(get("active_count")?, ctx)?;
-        net.solver = FairShareSolver::from_value(get("solver")?)?;
         for e in arr_of(get("drains")?, ctx)? {
             let e = tuple_of(e, 4, "net.drain")?;
             let slot = u32::try_from(u64_of(&e[3], ctx)?);
@@ -1113,12 +1135,12 @@ impl FlowNetwork {
             wakes[l] = true;
         }
         for (slot, f) in self.flows.iter().enumerate() {
-            let view = f.as_ref().map(|f| (&f.links[..], f.class(), f.rate));
+            let view = f.as_ref().map(|f| (&f.route[..], f.class(), f.rate));
             let agrees = self.solver.slot_is(slot, view);
             ensure!(agrees, "net: slot {slot} differs from solver");
             let Some(f) = f else { continue };
-            let live = |&l: &usize| !self.failed[l] && self.capacities[l] > 0.0;
-            let routed = !f.links.is_empty() && f.links.iter().all(live);
+            let live = |&LinkId(l): &LinkId| !self.failed[l] && self.capacities[l] > 0.0;
+            let routed = !f.route.is_empty() && f.route.iter().all(live);
             let sane = f.remaining >= 0.0 && f.rate.is_finite();
             let past = f.updated_at.max(f.injected_at) <= self.now;
             let fresh = f.generation <= self.next_generation;
@@ -1127,7 +1149,7 @@ impl FlowNetwork {
             ensure!(routed && sane && past, "net: flow {id} malformed");
             ensure!(fresh && draining, "net: flow {id} drain out of step");
             if f.rate > 0.0 {
-                f.links.iter().for_each(|&l| wakes[l] = true);
+                f.route.iter().for_each(|l| wakes[l.0] = true);
             }
         }
         let live: Vec<&ActiveFlow> = self.flows.iter().flatten().collect();
@@ -1135,7 +1157,7 @@ impl FlowNetwork {
         let counts = (live.len(), draining) == (self.active_count, self.live_drains);
         ensure!(counts, "net: live counts disagree with the slab");
         for f in live.iter().filter(|f| f.rate == 0.0) {
-            let woken = f.links.iter().any(|&l| wakes[l]);
+            let woken = f.route.iter().any(|l| wakes[l.0]);
             ensure!(woken, "net: flow {} starved for good", f.id.0);
         }
         let early = self.pending.iter().any(|Reverse(p)| p.at < self.now);
@@ -1154,7 +1176,7 @@ impl ActiveFlow {
     fn to_value(&self) -> Value {
         Value::Obj(vec![
             ("id".into(), v_u64(self.id.0)),
-            ("links".into(), usizes(&self.links)),
+            ("links".into(), route_value(&self.route)),
             ("priority".into(), priority_to_value(self.priority)),
             ("tenant".into(), v_u64(u64::from(self.tenant))),
             ("tag".into(), v_u64(self.tag)),
@@ -1167,14 +1189,28 @@ impl ActiveFlow {
         ])
     }
 
-    fn from_value(v: &Value) -> Result<ActiveFlow, SnapshotError> {
+    /// Decodes a flow whose solver slot holds `solver_route`; the
+    /// encoded links must equal it, and the flow shares it.
+    fn from_value(v: &Value, solver_route: Option<&Route>) -> Result<ActiveFlow, SnapshotError> {
         let ctx = "net.flow";
         let get = |key: &str| field(v, key, ctx);
         let remaining = f64_of(get("remaining")?, ctx)?;
         ensure!(remaining.is_finite(), "{ctx}: {remaining} bytes left");
+        let links = arr_of(get("links")?, ctx)?;
+        let route = solver_route.filter(|r| {
+            r.len() == links.len()
+                && r.iter()
+                    .zip(links)
+                    .all(|(l, v)| usize_of(v, ctx).is_ok_and(|x| x == l.0))
+        });
+        let Some(route) = route.cloned() else {
+            return Err(SnapshotError::Mismatch(format!(
+                "{ctx}: route differs from its solver slot"
+            )));
+        };
         Ok(ActiveFlow {
             id: FlowId(u64_of(get("id")?, ctx)?),
-            links: usizes_of(get("links")?, ctx)?,
+            route,
             priority: priority_from_value(get("priority")?, ctx)?,
             tenant: tenant_of(get("tenant")?, ctx)?,
             tag: u64_of(get("tag")?, ctx)?,
@@ -1643,7 +1679,7 @@ mod tests {
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].tag, 7);
         assert!((evicted[0].remaining_bytes - 100.0).abs() < 1e-9);
-        assert_eq!(evicted[0].route, vec![l0]);
+        assert_eq!(*evicted[0].route, [l0]);
         assert!(net.is_link_failed(l0));
         assert_eq!(net.failed_links(), vec![l0]);
         assert!(net.any_link_failed());
@@ -1658,6 +1694,39 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].tag, 8);
         assert!((done[0].completed_at.as_secs() - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_route_is_shared_from_injection_to_eviction() {
+        // The spec's route is the network's and the solver's: eviction
+        // hands back the very allocation that was injected.
+        let (mut net, l) = two_node_net(100.0, 0.0);
+        let route: Route = vec![l].into();
+        net.inject(FlowSpec::new(route.clone(), 500.0)).unwrap();
+        let solver_route = net.solver.route_at(0).expect("flow holds slot 0");
+        assert!(Rc::ptr_eq(solver_route, &route), "solver copied the route");
+        net.advance_to(Time::from_secs(1.0));
+        let evicted = net.fail_link(l);
+        assert_eq!(evicted.len(), 1);
+        assert!(Rc::ptr_eq(&evicted[0].route, &route), "route was copied");
+    }
+
+    #[test]
+    fn restored_flows_share_the_solver_route() {
+        let (mut net, l) = two_node_net(100.0, 0.0);
+        net.inject(FlowSpec::new(vec![l], 500.0)).unwrap();
+        net.inject(FlowSpec::new(vec![l], 300.0)).unwrap();
+        net.advance_to(Time::from_secs(1.0));
+        let topo = net.topology().clone();
+        let restored = FlowNetwork::from_value(topo, Rc::new(NullSink), &net.to_value()).unwrap();
+        for (slot, f) in restored.flows.iter().enumerate() {
+            let f = f.as_ref().expect("both flows are live");
+            let solver_route = restored.solver.route_at(slot).unwrap();
+            assert!(
+                Rc::ptr_eq(&f.route, solver_route),
+                "slot {slot} decoded a copy"
+            );
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::codec::{self, SnapshotError, Value};
 use crate::ensure;
 use crate::flow::{FlowSpec, Priority};
 use crate::time::{Duration, Time};
-use crate::topology::LinkId;
+use crate::topology::{LinkId, Route};
 
 /// Semantic snapshot-state version (see the module docs for how it
 /// relates to the binary codec version).
@@ -328,6 +328,19 @@ pub fn usizes_of(v: &Value, ctx: &str) -> Result<Vec<usize>, SnapshotError> {
     arr_of(v, ctx)?.iter().map(|x| usize_of(x, ctx)).collect()
 }
 
+/// Encodes a route as its link indices (the [`usizes`] layout).
+pub fn route_value(route: &[LinkId]) -> Value {
+    Value::Arr(route.iter().map(|l| v_u64(l.0 as u64)).collect())
+}
+
+/// Decodes [`route_value`] into a new shared route.
+pub fn route_of(v: &Value, ctx: &str) -> Result<Route, SnapshotError> {
+    arr_of(v, ctx)?
+        .iter()
+        .map(|x| usize_of(x, ctx).map(LinkId))
+        .collect()
+}
+
 /// Encodes a `u32` slice via [`v_u64`].
 pub fn u32s(xs: &[u32]) -> Value {
     Value::Arr(xs.iter().map(|&x| v_u64(u64::from(x))).collect())
@@ -378,10 +391,7 @@ pub fn priority_from_value(v: &Value, ctx: &str) -> Result<Priority, SnapshotErr
 /// executor snapshots).
 pub fn flow_spec_to_value(s: &FlowSpec) -> Value {
     Value::Obj(vec![
-        (
-            "route".into(),
-            usizes(&s.route.iter().map(|l| l.0).collect::<Vec<usize>>()),
-        ),
+        ("route".into(), route_value(&s.route)),
         ("bytes".into(), v_f64(s.bytes)),
         ("priority".into(), priority_to_value(s.priority)),
         ("tag".into(), v_u64(s.tag)),
@@ -393,10 +403,7 @@ pub fn flow_spec_to_value(s: &FlowSpec) -> Value {
 /// [`FlowSpec`] constructors assert (finite non-negative bytes, tenant
 /// within the class space) as typed errors instead of panics.
 pub fn flow_spec_from_value(v: &Value, ctx: &str) -> Result<FlowSpec, SnapshotError> {
-    let route = usizes_of(field(v, "route", ctx)?, ctx)?
-        .into_iter()
-        .map(LinkId)
-        .collect();
+    let route = route_of(field(v, "route", ctx)?, ctx)?;
     let bytes = f64_of(field(v, "bytes", ctx)?, ctx)?;
     ensure!(
         bytes.is_finite() && bytes >= 0.0,

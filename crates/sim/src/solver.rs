@@ -42,9 +42,10 @@ use crate::codec::{SnapshotError, Value};
 use crate::ensure;
 use crate::flow::Priority;
 use crate::snapshot::{
-    arr_of, bool_of, f64_of, f64s, f64s_of, field, u32s, u32s_of, u64_of, usize_of, usizes,
-    usizes_of, v_f64, v_u64,
+    arr_of, bool_of, f64_of, f64s, f64s_of, field, route_of, route_value, u32s, u32s_of, u64_of,
+    usize_of, usizes, usizes_of, v_f64, v_u64,
 };
+use crate::topology::{LinkId, Route};
 
 /// Same drained-capacity clamp as the from-scratch allocator
 /// ([`crate::fairshare::max_min_rates`]); keeping them identical is
@@ -59,7 +60,8 @@ pub struct FlowKey(pub u32);
 
 #[derive(Debug, Clone)]
 struct SolverFlow {
-    links: Box<[usize]>,
+    /// The route, shared with whoever registered it.
+    links: Route,
     /// Strict fill class, 0 filled first. Single-tenant callers pass
     /// [`Priority::rank`]; the cluster layer composes tenant × priority
     /// into one ordinal (see [`FairShareSolver::add_flow_class`]).
@@ -253,24 +255,26 @@ impl FairShareSolver {
     ///
     /// Panics if a link index is out of range.
     pub fn add_flow_class(&mut self, links: &[usize], class: u8) -> FlowKey {
-        for &l in links {
+        self.add_route(links.iter().map(|&l| LinkId(l)).collect(), class)
+    }
+
+    /// [`FairShareSolver::add_flow_class`] over a shared [`Route`]: the
+    /// solver keeps `route` itself rather than a copy of its links.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a link index is out of range.
+    pub fn add_route(&mut self, route: Route, class: u8) -> FlowKey {
+        for &LinkId(l) in route.iter() {
             assert!(
                 l < self.capacities.len(),
                 "flow references unknown link index {l}"
             );
         }
-        let flow = SolverFlow {
-            links: links.into(),
-            class,
-            rate: if links.is_empty() { f64::INFINITY } else { 0.0 },
-        };
         let key = match self.free.pop() {
-            Some(k) => {
-                self.flows[k as usize] = Some(flow);
-                k
-            }
+            Some(k) => k,
             None => {
-                self.flows.push(Some(flow));
+                self.flows.push(None);
                 self.flow_mark.push(0);
                 self.frozen_mark.push(0);
                 self.new_rate.push(0.0);
@@ -278,11 +282,16 @@ impl FairShareSolver {
             }
         };
         self.live += 1;
-        for &l in links {
+        for &LinkId(l) in route.iter() {
             self.link_flows[l].push(key);
             self.seed_links.push(l);
             self.dirty = true;
         }
+        self.flows[key as usize] = Some(SolverFlow {
+            rate: if route.is_empty() { f64::INFINITY } else { 0.0 },
+            links: route,
+            class,
+        });
         FlowKey(key)
     }
 
@@ -298,7 +307,7 @@ impl FairShareSolver {
             .expect("remove_flow on a dead key");
         self.live -= 1;
         self.free.push(key.0);
-        for &l in flow.links.iter() {
+        for &LinkId(l) in flow.links.iter() {
             // A flow crossing the same link twice holds two incidence
             // slots; drop exactly one per traversal.
             let pos = self.link_flows[l]
@@ -429,7 +438,7 @@ impl FairShareSolver {
                     break 'bfs;
                 }
                 let flow = self.flows[fk as usize].as_ref().expect("live incidence");
-                for &l2 in flow.links.iter() {
+                for &LinkId(l2) in flow.links.iter() {
                     if self.link_mark[l2] != epoch {
                         self.link_mark[l2] = epoch;
                         stack.push(l2);
@@ -492,7 +501,7 @@ impl FairShareSolver {
         let flows = self.flows.iter().map(|slot| match slot {
             None => Value::Null,
             Some(f) => Value::Obj(vec![
-                ("links".into(), usizes(&f.links)),
+                ("links".into(), route_value(&f.links)),
                 ("class".into(), v_u64(u64::from(f.class))),
                 ("rate".into(), v_f64(f.rate)),
             ]),
@@ -539,12 +548,12 @@ impl FairShareSolver {
                 s.flows.push(None);
                 continue;
             }
-            let links = usizes_of(field(slot, "links", ctx)?, ctx)?;
+            let links = route_of(field(slot, "links", ctx)?, ctx)?;
             let class = u64_of(field(slot, "class", ctx)?, ctx)?;
             let rate = f64_of(field(slot, "rate", ctx)?, ctx)?;
-            let ok = class <= u64::from(u8::MAX) && rate >= 0.0 && links.iter().all(|&l| l < n);
+            let ok = class <= u64::from(u8::MAX) && rate >= 0.0 && links.iter().all(|l| l.0 < n);
             ensure!(ok, "{ctx}: flow {} malformed", s.flows.len());
-            let (links, class) = (links.into(), class as u8);
+            let class = class as u8;
             s.flows.push(Some(SolverFlow { links, class, rate }));
         }
         let slab = s.flows.len();
@@ -586,7 +595,7 @@ impl FairShareSolver {
         );
         let mut crossings: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (k, f) in s.flows.iter().enumerate() {
-            for &l in f.iter().flat_map(|f| f.links.iter()) {
+            for &LinkId(l) in f.iter().flat_map(|f| f.links.iter()) {
                 crossings[l].push(k as u32);
             }
         }
@@ -605,9 +614,15 @@ impl FairShareSolver {
         &self.seed_links
     }
 
+    /// The route of the flow in slot `key`, if the slot is live (a
+    /// restored network shares it instead of decoding its own copy).
+    pub(crate) fn route_at(&self, key: usize) -> Option<&Route> {
+        self.flows.get(key)?.as_ref().map(|f| &f.links)
+    }
+
     /// Whether slot `key` holds exactly `flow` — `(links, class, rate
     /// bits)` — or is a hole when `flow` is `None`.
-    pub(crate) fn slot_is(&self, key: usize, flow: Option<(&[usize], u8, f64)>) -> bool {
+    pub(crate) fn slot_is(&self, key: usize, flow: Option<(&[LinkId], u8, f64)>) -> bool {
         match (self.flows.get(key), flow) {
             (Some(None), None) => true,
             (Some(Some(f)), Some((links, class, rate))) => {
@@ -666,7 +681,7 @@ impl FairShareSolver {
                 }
                 debug_assert!(!f.links.is_empty(), "node-local flow in a component");
                 unfrozen += 1;
-                for &l in f.links.iter() {
+                for &LinkId(l) in f.links.iter() {
                     if self.counts[l] == 0 {
                         self.reshared.push(l);
                     }
@@ -704,7 +719,7 @@ impl FairShareSolver {
                     self.frozen_mark[fk] = epoch;
                     unfrozen -= 1;
                     self.new_rate[fk] = share;
-                    for &l in f.links.iter() {
+                    for &LinkId(l) in f.links.iter() {
                         self.remaining[l] -= share;
                         if self.remaining[l] < EPS {
                             self.remaining[l] = 0.0;
@@ -738,7 +753,7 @@ impl FairShareSolver {
                 f.rate = new;
                 self.changed.push(FlowKey(fk));
             }
-            for &l in f.links.iter() {
+            for &LinkId(l) in f.links.iter() {
                 self.link_alloc[l] += f.rate;
             }
         }

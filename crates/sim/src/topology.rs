@@ -7,8 +7,11 @@
 //! sequences, produced by the topology-specific routing logic in
 //! `fred-mesh` and `fred-core`.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
+use std::rc::Rc;
 
 use crate::flow::FlowSpec;
 use crate::time::Duration;
@@ -80,7 +83,45 @@ pub struct Link {
 
 /// An ordered sequence of links forming a path. Empty routes model
 /// node-local transfers (they complete after zero network time).
-pub type Route = Vec<LinkId>;
+///
+/// A route is immutable and shared: the fabric that computes it, the
+/// plan transfers that name it, the [`FlowSpec`] and both layers of the
+/// simulator hold the same allocation, so passing a route on costs a
+/// reference count, never a copy. Build one from a `Vec<LinkId>` with
+/// `.into()`.
+pub type Route = Rc<[LinkId]>;
+
+/// Routes computed on first use and shared afterwards: key `k` holds
+/// whatever route the first [`RouteMemo::get`] for `k` computed. The
+/// memo starts empty, so building its owner allocates nothing for it,
+/// and it only ever holds the routes actually asked for (a dense table
+/// over every endpoint pair of a 4096-NPU mesh would not fit in memory).
+#[derive(Debug, Clone)]
+pub struct RouteMemo<K> {
+    routes: RefCell<HashMap<K, Route>>,
+}
+
+impl<K> Default for RouteMemo<K> {
+    fn default() -> Self {
+        RouteMemo {
+            routes: RefCell::new(HashMap::new()),
+        }
+    }
+}
+
+impl<K: Hash + Eq> RouteMemo<K> {
+    /// The route memoized under `key`, computing it with `compute` on
+    /// the first call. `compute` may itself consult this memo (a
+    /// composite route built from memoized parts).
+    pub fn get(&self, key: K, compute: impl FnOnce() -> Route) -> Route {
+        if let Some(route) = self.routes.borrow().get(&key) {
+            return route.clone();
+        }
+        let route = compute();
+        self.routes.borrow_mut().insert(key, route.clone());
+        route
+    }
+}
 
 /// A directed multigraph of nodes and links.
 ///
@@ -103,6 +144,8 @@ pub struct Topology {
     outgoing: HashMap<NodeId, Vec<LinkId>>,
     /// Incoming links per node.
     incoming: HashMap<NodeId, Vec<LinkId>>,
+    /// Single-link routes, by link id (see [`Topology::link_route`]).
+    link_routes: RouteMemo<LinkId>,
 }
 
 impl Topology {
@@ -231,6 +274,17 @@ impl Topology {
             .unwrap_or(&[])
     }
 
+    /// The one-link route over `link`, shared by every caller (the
+    /// per-link flows of in-network collectives and streaming trees).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    pub fn link_route(&self, link: LinkId) -> Route {
+        assert!(link.0 < self.links.len(), "unknown link {link}");
+        self.link_routes.get(link, || Route::from([link]))
+    }
+
     /// Outgoing links of `node`.
     pub fn outgoing(&self, node: NodeId) -> &[LinkId] {
         self.outgoing.get(&node).map(Vec::as_slice).unwrap_or(&[])
@@ -312,7 +366,7 @@ impl Topology {
         blocked: impl Fn(LinkId) -> bool,
     ) -> Option<Route> {
         if src == dst {
-            return Some(Vec::new());
+            return Some(Route::default());
         }
         let mut prev: HashMap<NodeId, LinkId> = HashMap::new();
         let mut queue = std::collections::VecDeque::new();
@@ -334,7 +388,7 @@ impl Topology {
                             cur = self.link(l).src;
                         }
                         route.reverse();
-                        return Some(route);
+                        return Some(route.into());
                     }
                     queue.push_back(next);
                 }
@@ -495,8 +549,8 @@ mod tests {
     #[test]
     fn bfs_finds_shortest_path() {
         let (t, n, l) = line3();
-        assert_eq!(t.shortest_path(n[0], n[2]).unwrap(), vec![l[0], l[1]]);
-        assert_eq!(t.shortest_path(n[0], n[0]).unwrap(), Vec::<LinkId>::new());
+        assert_eq!(*t.shortest_path(n[0], n[2]).unwrap(), [l[0], l[1]]);
+        assert!(t.shortest_path(n[0], n[0]).unwrap().is_empty());
         // No reverse links exist.
         assert!(t.shortest_path(n[2], n[0]).is_none());
     }
@@ -516,11 +570,11 @@ mod tests {
         let cd = t.add_link(c, d, 100.0, 0.0);
         assert_eq!(
             t.shortest_path_avoiding(a, d, |l| l == ab),
-            Some(vec![ac, cd])
+            Some(vec![ac, cd].into())
         );
         assert_eq!(
             t.shortest_path_avoiding(a, d, |_| false),
-            Some(vec![ab, bd])
+            Some(vec![ab, bd].into())
         );
         assert_eq!(t.shortest_path_avoiding(a, d, |l| l == ab || l == ac), None);
     }
@@ -548,7 +602,7 @@ mod tests {
             .reroute_flows_avoiding(flows.clone(), |l| l == ab)
             .unwrap();
         // Leg 0 detoured a->c->d, metadata preserved; leg 1 untouched.
-        assert_eq!(fixed[0].route, vec![ac, cd]);
+        assert_eq!(*fixed[0].route, [ac, cd]);
         assert_eq!(
             (fixed[0].bytes, fixed[0].priority, fixed[0].tag),
             (10.0, Priority::Mp, 7)

@@ -20,6 +20,7 @@
 //! to the owning executor by tag range alone.
 
 use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::rc::Rc;
 
 use fred_sim::codec::{SnapshotError, Value};
@@ -52,7 +53,7 @@ pub struct IterationTiming {
     pub makespan: Time,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct CommState {
     phase: usize,
     outstanding: usize,
@@ -125,9 +126,14 @@ pub struct ExecConfig {
 /// The trainer's dependency-driven event loop as a resumable state
 /// machine over an external clock. See the [module docs](self) for the
 /// driver contract.
+///
+/// `S` is how the executor holds its schedule: the single-job trainer
+/// borrows it (`&Schedule`), a driver whose executors outlive the
+/// caller's schedule shares it (`Rc<Schedule>`, the default). Either
+/// way the schedule — plans and routes included — is never copied.
 #[derive(Debug)]
-pub struct ScheduleExecutor {
-    schedule: Rc<Schedule>,
+pub struct ScheduleExecutor<S = Rc<Schedule>> {
+    schedule: S,
     cfg: ExecConfig,
     sink: Rc<dyn TraceSink>,
     tracing: bool,
@@ -136,7 +142,8 @@ pub struct ScheduleExecutor {
     start: Vec<Time>,
     finish: Vec<Time>,
     done: Vec<bool>,
-    comm: BTreeMap<usize, CommState>,
+    /// Phase cursor of every comm task started so far, by task index.
+    comm: Vec<Option<CommState>>,
     compute_queue: EventQueue<usize>,
     completed: usize,
     // Open span per running task / persistent span id per task
@@ -151,11 +158,11 @@ pub struct ScheduleExecutor {
     staged: Vec<FlowSpec>,
 }
 
-impl ScheduleExecutor {
+impl<S: Deref<Target = Schedule> + Clone> ScheduleExecutor<S> {
     /// Creates an executor with every dependency-free task ready to
     /// start. Nothing touches the network until the first
     /// [`ScheduleExecutor::settle`].
-    pub fn new(schedule: Rc<Schedule>, cfg: ExecConfig, sink: Rc<dyn TraceSink>) -> Self {
+    pub fn new(schedule: S, cfg: ExecConfig, sink: Rc<dyn TraceSink>) -> Self {
         let n = schedule.tasks.len();
         let indegree: Vec<usize> = schedule.tasks.iter().map(|t| t.deps.len()).collect();
         let mut dependents: Vec<Vec<TaskId>> = vec![Vec::new(); n];
@@ -181,7 +188,7 @@ impl ScheduleExecutor {
             start: vec![Time::ZERO; n],
             finish: vec![Time::ZERO; n],
             done: vec![false; n],
-            comm: BTreeMap::new(),
+            comm: vec![None; n],
             compute_queue: EventQueue::new(),
             completed: 0,
             spans: vec![None; n],
@@ -198,7 +205,7 @@ impl ScheduleExecutor {
     /// restart at the restore point, so running tasks resume without an
     /// open span (dependency edges skip the zero sentinel).
     pub fn to_value(&self) -> Value {
-        let comm = self.comm.iter().map(|(&i, c)| {
+        let comm = self.comm_states().map(|(i, c)| {
             Value::Arr(vec![
                 v_u64(i as u64),
                 v_u64(c.phase as u64),
@@ -246,7 +253,7 @@ impl ScheduleExecutor {
     /// [`SnapshotError::Mismatch`] when a field is missing or ill-typed,
     /// or the state does not pair with `schedule` (DESIGN.md §12.1).
     pub fn from_value(
-        schedule: Rc<Schedule>,
+        schedule: S,
         sink: Rc<dyn TraceSink>,
         v: &Value,
     ) -> Result<Self, SnapshotError> {
@@ -306,7 +313,7 @@ impl ScheduleExecutor {
             let cursor = phases.is_some_and(|p| phase <= p) && !started[i];
             ensure!(cursor, "{ctx}: comm cursor {i}");
             started[i] = true;
-            exec.comm.insert(i, CommState { phase, outstanding });
+            exec.comm[i] = Some(CommState { phase, outstanding });
         }
         let mut queued = Vec::new();
         for e in arr_of(get("compute_queue")?, ctx)? {
@@ -334,9 +341,8 @@ impl ScheduleExecutor {
         ensure!(exec.completed == done, "{ctx}: completed count {done}");
         // Every staged flow belongs to a comm phase still awaiting it.
         let outstanding = exec
-            .comm
-            .values()
-            .fold(0, |n, c| c.outstanding.saturating_add(n));
+            .comm_states()
+            .fold(0, |n, (_, c)| c.outstanding.saturating_add(n));
         let awaited = exec
             .awaited_tags()
             .values()
@@ -353,9 +359,8 @@ impl ScheduleExecutor {
     pub fn awaited_tags(&self) -> BTreeMap<u64, usize> {
         let tag = |i: usize| self.cfg.tag_base + i as u64 + 1;
         let mut awaited: BTreeMap<u64, usize> = self
-            .comm
-            .iter()
-            .map(|(&i, c)| (tag(i), c.outstanding))
+            .comm_states()
+            .map(|(i, c)| (tag(i), c.outstanding))
             .collect();
         for f in &self.staged {
             if let Some(left) = awaited.get_mut(&f.tag) {
@@ -366,8 +371,14 @@ impl ScheduleExecutor {
         awaited
     }
 
+    /// Every started comm task's cursor, in task order.
+    fn comm_states(&self) -> impl Iterator<Item = (usize, &CommState)> {
+        let started = self.comm.iter().enumerate();
+        started.filter_map(|(i, c)| c.as_ref().map(|c| (i, c)))
+    }
+
     /// The schedule being executed.
-    pub fn schedule(&self) -> &Rc<Schedule> {
+    pub fn schedule(&self) -> &Schedule {
         &self.schedule
     }
 
@@ -463,7 +474,7 @@ impl ScheduleExecutor {
         else {
             return Ok(());
         };
-        let Some(state) = self.comm.get_mut(&i) else {
+        let Some(state) = self.comm.get_mut(i).and_then(Option::as_mut) else {
             return Err(TrainError::UnknownCommTag { tag });
         };
         state.outstanding -= 1;
@@ -548,7 +559,7 @@ impl ScheduleExecutor {
         let TaskBody::Comm { plan, priority, .. } = &schedule.tasks[i].body else {
             unreachable!("advance_comm on a compute task")
         };
-        let state = self.comm.get_mut(&i).expect("comm state exists");
+        let state = self.comm[i].as_mut().expect("comm state exists");
         while state.phase < plan.phases.len() {
             let transfers = &plan.phases[state.phase].transfers;
             state.phase += 1;
@@ -582,13 +593,10 @@ impl ScheduleExecutor {
                 self.compute_queue.schedule(t + *duration, i);
             }
             TaskBody::Comm { .. } => {
-                self.comm.insert(
-                    i,
-                    CommState {
-                        phase: 0,
-                        outstanding: 0,
-                    },
-                );
+                self.comm[i] = Some(CommState {
+                    phase: 0,
+                    outstanding: 0,
+                });
                 if self.advance_comm(i) {
                     self.finished_now.push(i);
                 }

@@ -100,11 +100,7 @@ pub fn run_iteration_faulted(
     // single-job tags and tenant rank, driven to completion over a
     // private network. The cluster scheduler drives many of these
     // through one shared network instead.
-    let mut ex = ScheduleExecutor::new(
-        Rc::new(schedule.clone()),
-        ExecConfig::default(),
-        sink.clone(),
-    );
+    let mut ex = ScheduleExecutor::new(schedule, ExecConfig::default(), sink.clone());
     // Cursor into the (time-sorted) fault plan.
     let mut fault_cursor = 0usize;
 

@@ -14,7 +14,7 @@ use fred::sim::topology::Route;
 use fred::workloads::backend::FabricBackend;
 
 fn no_routes() -> impl fred::collectives::plan::RouteProvider {
-    |_s: usize, _d: usize| -> Route { vec![] }
+    |_s: usize, _d: usize| -> Route { vec![].into() }
 }
 
 /// A random strictly increasing group of NPU indices in `[0, 20)`.
