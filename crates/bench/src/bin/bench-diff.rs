@@ -10,8 +10,9 @@
 //! summary leaf by leaf and exits non-zero when any relative change
 //! exceeds the threshold (default 5%) or a key is missing on either
 //! side. Self-check mode validates a report in isolation: schema
-//! version, required fields, and the attribution-sum invariant
-//! (Σ buckets == makespan within 1e-6 relative). Check-prom mode
+//! version, required fields, an analysis over an untruncated trace
+//! (`"trace_truncated": true` fails), and the attribution-sum
+//! invariant (Σ buckets == makespan within 1e-6 relative). Check-prom mode
 //! validates a Prometheus text-exposition file: it must parse and
 //! contain at least one sample (the CI smoke assertion over `--prom`
 //! output).

@@ -123,10 +123,11 @@ pub use fred_core::codec::{parse, Value};
 // Self-check and diff.
 // ---------------------------------------------------------------------
 
-/// Validates one parsed report: schema version, required fields, and
-/// the attribution-sum invariant (`Σ buckets == makespan` within
-/// [`SUM_TOLERANCE`] relative, per run and in aggregate). Returns
-/// human-readable info/warning lines on success.
+/// Validates one parsed report: schema version, required fields, an
+/// untruncated trace behind the analysis, and the attribution-sum
+/// invariant (`Σ buckets == makespan` within [`SUM_TOLERANCE`]
+/// relative, per run and in aggregate). Returns human-readable info
+/// lines on success.
 pub fn self_check(report: &Value) -> Result<Vec<String>, String> {
     let mut info = Vec::new();
     let version = report
@@ -173,9 +174,9 @@ pub fn self_check(report: &Value) -> Result<Vec<String>, String> {
                 .get("dropped_events")
                 .and_then(Value::as_f64)
                 .unwrap_or(0.0);
-            info.push(format!(
-                "WARNING: trace truncated ({dropped} events dropped); \
-                 attribution is unreliable"
+            return Err(format!(
+                "trace truncated ({dropped} events dropped): the attribution \
+                 misses events and cannot be trusted"
             ));
         }
         check_attribution_sum(analysis, "analysis", &mut info)?;
@@ -472,16 +473,20 @@ mod tests {
     }
 
     #[test]
-    fn self_check_accepts_valid_analysis_and_warns_on_truncation() {
-        let doc = r#"{"schema_version":1,"name":"x","wall_secs":0.1,"sim":{"m":1},
-            "analysis":{"trace_truncated":true,"dropped_events":9,
-            "total_makespan_secs":1.5,
-            "attribution":{"compute":1.0,"contention":0.5},
-            "runs":[{"makespan_secs":1.5,
-                     "attribution":{"compute":1.0,"contention":0.5}}]}}"#;
-        let v = parse(doc).unwrap();
-        let info = self_check(&v).unwrap();
-        assert!(info.iter().any(|l| l.contains("WARNING")), "{info:?}");
+    fn self_check_rejects_truncated_trace() {
+        let doc = |truncated: bool| {
+            format!(
+                r#"{{"schema_version":1,"name":"x","wall_secs":0.1,"sim":{{"m":1}},
+                "analysis":{{"trace_truncated":{truncated},"dropped_events":9,
+                "total_makespan_secs":1.5,
+                "attribution":{{"compute":1.0,"contention":0.5}},
+                "runs":[{{"makespan_secs":1.5,
+                         "attribution":{{"compute":1.0,"contention":0.5}}}}]}}}}"#
+            )
+        };
+        assert!(self_check(&parse(&doc(false)).unwrap()).is_ok());
+        let err = self_check(&parse(&doc(true)).unwrap()).unwrap_err();
+        assert!(err.contains("trace truncated"), "{err}");
     }
 
     #[test]

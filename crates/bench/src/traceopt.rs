@@ -39,7 +39,10 @@
 //! bit-identical simulation results. `--trace`/`--metrics` feed from
 //! the ring recorder (whole events, bounded by overwriting);
 //! `--dashboard`/`--prom` feed from the flight recorder (bounded by
-//! decimation, spans the whole run); `--report` uses both.
+//! decimation, spans the whole run); `--report` analyses the stream as
+//! it is simulated through an [`AnalysisSink`] (bounded by one
+//! simulation segment, never truncated) and embeds the flight
+//! recorder's series.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -48,7 +51,7 @@ use std::time::Instant;
 
 use fred_sim::solver::SolverStats;
 use fred_sim::topology::Topology;
-use fred_telemetry::analysis::Analysis;
+use fred_telemetry::analysis::AnalysisSink;
 use fred_telemetry::metrics::Metrics;
 use fred_telemetry::perfetto::{export_chrome_trace, TraceMeta};
 use fred_telemetry::prof;
@@ -73,6 +76,7 @@ pub struct TraceOpts {
     pub prom_path: Option<PathBuf>,
     recorder: Option<Rc<RingRecorder>>,
     flight: Option<Rc<FlightRecorder>>,
+    analysis: Option<Rc<AnalysisSink>>,
     prof_enabled: bool,
     link_names: Vec<String>,
     process_name: String,
@@ -196,16 +200,11 @@ impl TraceOpts {
             prof::set_enabled(true);
             prof::reset();
         }
-        let recorder = if trace_path.is_some() || metrics_path.is_some() || report_path.is_some() {
-            Some(Rc::new(RingRecorder::new()))
-        } else {
-            None
-        };
-        let flight = if dashboard_path.is_some() || prom_path.is_some() || report_path.is_some() {
-            Some(Rc::new(FlightRecorder::new()))
-        } else {
-            None
-        };
+        let recorder =
+            (trace_path.is_some() || metrics_path.is_some()).then(|| Rc::new(RingRecorder::new()));
+        let flight = (dashboard_path.is_some() || prom_path.is_some() || report_path.is_some())
+            .then(|| Rc::new(FlightRecorder::new()));
+        let analysis = report_path.is_some().then(|| Rc::new(AnalysisSink::new()));
         TraceOpts {
             trace_path,
             metrics_path,
@@ -214,6 +213,7 @@ impl TraceOpts {
             prom_path,
             recorder,
             flight,
+            analysis,
             prof_enabled,
             link_names: Vec::new(),
             process_name: process_name.to_string(),
@@ -265,21 +265,26 @@ impl TraceOpts {
         }
     }
 
-    /// The sink to pass into simulations: the ring recorder and/or
-    /// flight recorder when any output was requested, the
-    /// zero-overhead [`NullSink`] otherwise.
+    /// The sink to pass into simulations: the ring recorder, flight
+    /// recorder and analysis sink that the requested outputs need,
+    /// teed together, or the zero-overhead [`NullSink`] when none was
+    /// requested.
     pub fn sink(&self) -> Rc<dyn TraceSink> {
-        match (&self.recorder, &self.flight) {
-            (Some(r), Some(f)) => Rc::new(TeeSink(r.clone(), f.clone())),
-            (Some(r), None) => r.clone(),
-            (None, Some(f)) => f.clone(),
-            (None, None) => Rc::new(NullSink),
-        }
+        let sinks = [
+            self.recorder.clone().map(|s| s as Rc<dyn TraceSink>),
+            self.flight.clone().map(|s| s as Rc<dyn TraceSink>),
+            self.analysis.clone().map(|s| s as Rc<dyn TraceSink>),
+        ];
+        sinks
+            .into_iter()
+            .flatten()
+            .reduce(|a, b| Rc::new(TeeSink(a, b)))
+            .unwrap_or_else(|| Rc::new(NullSink))
     }
 
     /// Whether recording is on.
     pub fn enabled(&self) -> bool {
-        self.recorder.is_some() || self.flight.is_some()
+        self.recorder.is_some() || self.flight.is_some() || self.analysis.is_some()
     }
 
     /// Names the trace's link-counter tracks after `topo`'s endpoints
@@ -318,7 +323,7 @@ impl TraceOpts {
             if rec.overwritten() > 0 {
                 eprintln!(
                     "{}: WARNING: trace ring overflowed; oldest {} events dropped — \
-                     metrics, attribution, and reports below are incomplete",
+                     the --trace and --metrics outputs below are incomplete",
                     self.process_name,
                     rec.overwritten()
                 );
@@ -351,64 +356,63 @@ impl TraceOpts {
                     path.display()
                 );
             }
-            if let Some(path) = &self.report_path {
-                let mut report = BenchReport::new(self.process_name.clone());
-                report.wall_secs = self.started.elapsed().as_secs_f64();
-                report.sim = self.metrics.clone();
-                // Simulator throughput headline, present in every report:
-                // flow lifecycle events processed per wall-clock second
-                // over this binary's whole run. Excluded keys (wall_secs
-                // and this one) are perf measurements, not simulation
-                // results — bench-diff treats them with its threshold.
-                let lifecycle_events =
-                    fred_sim::netsim::global_events_processed() - self.events_at_start;
-                report.sim.push((
-                    "events_per_sec".to_string(),
-                    lifecycle_events as f64 / report.wall_secs.max(f64::MIN_POSITIVE),
-                ));
-                // Solver cost over this run (process-wide deltas):
-                // deterministic simulation quantities, so they are part
-                // of the regression surface like any other sim key.
-                let sv = fred_sim::solver::global_solver_stats();
-                let s0 = self.solver_at_start;
-                report
-                    .sim
-                    .push(("solver/solves".into(), (sv.solves - s0.solves) as f64));
-                report.sim.push((
-                    "solver/global_solves".into(),
-                    (sv.global_solves - s0.global_solves) as f64,
-                ));
-                report.sim.push((
-                    "solver/refilled_flows".into(),
-                    (sv.refilled_flows - s0.refilled_flows) as f64,
-                ));
-                report
-                    .sim
-                    .push(("solver/max_component".into(), sv.max_component as f64));
-                report.sim.push((
-                    "solver/heap_compactions".into(),
-                    (fred_sim::netsim::global_heap_compactions() - self.compactions_at_start)
-                        as f64,
-                ));
-                let analysis = Analysis::from_events(&events).with_dropped(rec.overwritten());
-                eprint!("{}", analysis.summary());
-                report.analysis = Some(analysis);
-                if !prof_sites.is_empty() {
-                    report.prof_json = Some(prof::to_json(&prof_sites));
-                }
-                if let Some(snap) = &snapshot {
-                    report.timeseries_json = Some(snap.to_json());
-                }
-                report
-                    .write(path)
-                    .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-                eprintln!(
-                    "{}: wrote bench report ({} sim metrics) to {} — compare with `bench-diff`",
-                    self.process_name,
-                    report.sim.len(),
-                    path.display()
-                );
+        }
+        if let (Some(path), Some(sink)) = (&self.report_path, &self.analysis) {
+            let mut report = BenchReport::new(self.process_name.clone());
+            report.wall_secs = self.started.elapsed().as_secs_f64();
+            report.sim = self.metrics.clone();
+            // Simulator throughput headline, present in every report:
+            // flow lifecycle events processed per wall-clock second
+            // over this binary's whole run. Excluded keys (wall_secs
+            // and this one) are perf measurements, not simulation
+            // results — bench-diff treats them with its threshold.
+            let lifecycle_events =
+                fred_sim::netsim::global_events_processed() - self.events_at_start;
+            report.sim.push((
+                "events_per_sec".to_string(),
+                lifecycle_events as f64 / report.wall_secs.max(f64::MIN_POSITIVE),
+            ));
+            // Solver cost over this run (process-wide deltas):
+            // deterministic simulation quantities, so they are part
+            // of the regression surface like any other sim key.
+            let sv = fred_sim::solver::global_solver_stats();
+            let s0 = self.solver_at_start;
+            report
+                .sim
+                .push(("solver/solves".into(), (sv.solves - s0.solves) as f64));
+            report.sim.push((
+                "solver/global_solves".into(),
+                (sv.global_solves - s0.global_solves) as f64,
+            ));
+            report.sim.push((
+                "solver/refilled_flows".into(),
+                (sv.refilled_flows - s0.refilled_flows) as f64,
+            ));
+            report
+                .sim
+                .push(("solver/max_component".into(), sv.max_component as f64));
+            report.sim.push((
+                "solver/heap_compactions".into(),
+                (fred_sim::netsim::global_heap_compactions() - self.compactions_at_start) as f64,
+            ));
+            let analysis = sink.finish();
+            eprintln!("{}", analysis.summary());
+            report.analysis = Some(analysis);
+            if !prof_sites.is_empty() {
+                report.prof_json = Some(prof::to_json(&prof_sites));
             }
+            if let Some(snap) = &snapshot {
+                report.timeseries_json = Some(snap.to_json());
+            }
+            report
+                .write(path)
+                .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+            eprintln!(
+                "{}: wrote bench report ({} sim metrics) to {} — compare with `bench-diff`",
+                self.process_name,
+                report.sim.len(),
+                path.display()
+            );
         }
         if let Some(snap) = &snapshot {
             if let Some(path) = &self.prom_path {

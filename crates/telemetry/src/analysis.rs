@@ -1,9 +1,13 @@
 //! Critical-path and contention attribution over a recorded trace.
 //!
-//! [`Analysis::from_events`] reconstructs, for every simulation
-//! *segment* of a recording (segments are delimited by
-//! [`TraceEvent::Topology`] markers — one per `FlowNetwork`
-//! construction), the causal DAG of the run:
+//! [`AnalysisSink`] folds an event stream, one event at a time, into
+//! one [`RunAnalysis`] per simulation *segment* (segments are delimited
+//! by [`TraceEvent::Topology`] markers — one per `FlowNetwork`
+//! construction). It finalises a segment at the next marker and at
+//! [`AnalysisSink::finish`], so teed into a live simulation it holds
+//! one segment's flows and spans at a time and never loses an event;
+//! [`Analysis::from_events`] runs the same sink over a recorded slice.
+//! Per segment it reconstructs the causal DAG of the run:
 //!
 //! * **nodes** are spans ([`TraceEvent::PhaseBegin`]/`PhaseEnd` pairs:
 //!   trainer compute/comm tasks, or the serial phases of a standalone
@@ -25,16 +29,25 @@
 //! It also builds the per-link **contention matrix**: for every link,
 //! which span pairs had flows active on it simultaneously, for how
 //! long, and how much of each victim's slowdown (observed drain time
-//! minus contention-free drain time) each culprit inflicted.
+//! minus contention-free drain time) each culprit inflicted. Span
+//! labels are interned to integer ids in string order per segment, so
+//! the matrix accumulates into flat per-link vectors instead of
+//! string-keyed maps while every sum runs in the same order as a
+//! string-keyed fold would; the work is linear in events plus the
+//! number of overlapping flow pairs per link.
 //!
 //! An analysis over a truncated trace (ring overflow) is flagged, not
 //! silently produced — attribution over missing events is wrong.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cell::RefCell;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::rc::Rc;
 
 use crate::attribution::{Attribution, Bucket};
 use crate::event::{TraceEvent, Track};
 use crate::json::{push_num, push_str_lit};
+use crate::sink::TraceSink;
 
 /// Spans/steps closer in time than this are considered simultaneous.
 const T_EPS: f64 = 1e-12;
@@ -116,16 +129,18 @@ pub struct Analysis {
 #[derive(Debug, Clone)]
 struct FlowRec {
     bytes: f64,
-    links: Box<[u32]>,
+    links: Rc<[u32]>,
     track: Track,
     injected: f64,
     drained: Option<f64>,
     completed: Option<f64>,
+    /// Index into [`Segment::spans`] of the span the flow joined.
     span: Option<usize>,
 }
 
 #[derive(Debug, Clone)]
 struct SpanRec {
+    id: u64,
     label: Box<str>,
     track: Track,
     begin: f64,
@@ -135,19 +150,86 @@ struct SpanRec {
     flow_idx: Vec<usize>,
 }
 
-impl Analysis {
-    /// Analyses a recording, splitting it into segments at every
-    /// [`TraceEvent::Topology`] marker.
-    pub fn from_events(events: &[TraceEvent]) -> Analysis {
-        let runs = segment_events(events)
-            .into_iter()
-            .map(analyze_segment)
-            .filter(|r| r.makespan > 0.0 || r.spans > 0 || r.flows > 0)
-            .collect();
+/// The open segment of an [`AnalysisSink`]: everything recorded since
+/// the last [`TraceEvent::Topology`] marker.
+#[derive(Debug, Default)]
+struct Segment {
+    /// Whether any event was folded into this segment yet.
+    started: bool,
+    capacities: Vec<f64>,
+    /// Spans in first-`PhaseBegin` order; a repeated span id replaces
+    /// its record in place.
+    spans: Vec<SpanRec>,
+    span_slot: HashMap<u64, usize>,
+    flows: Vec<FlowRec>,
+    flow_by_id: HashMap<u64, usize>,
+    /// tag -> currently open span claiming that tag.
+    open_tag: HashMap<u64, u64>,
+    /// span -> every tag its `PhaseBegin`s claimed, released at its
+    /// `PhaseEnd`.
+    claims: HashMap<u64, Vec<u64>>,
+    last_t: f64,
+    faults: usize,
+}
+
+/// A [`TraceSink`] that analyses the stream as it arrives: it keeps
+/// only the open segment's spans and flows, finalises a
+/// [`RunAnalysis`] at each [`TraceEvent::Topology`] marker, and hands
+/// every run over at [`AnalysisSink::finish`]. It never drops an
+/// event, so its analysis is never truncated.
+#[derive(Debug, Default)]
+pub struct AnalysisSink {
+    state: RefCell<(Segment, Vec<RunAnalysis>)>,
+}
+
+impl AnalysisSink {
+    /// An empty sink.
+    pub fn new() -> AnalysisSink {
+        AnalysisSink::default()
+    }
+
+    fn fold(&self, e: &TraceEvent) {
+        let mut state = self.state.borrow_mut();
+        let (segment, runs) = &mut *state;
+        if segment.started && matches!(e, TraceEvent::Topology { .. }) {
+            runs.extend(std::mem::take(segment).finish());
+        }
+        segment.fold(e);
+    }
+
+    /// Finalises the open segment and returns the analysis of every
+    /// segment recorded so far, leaving the sink empty.
+    pub fn finish(&self) -> Analysis {
+        let mut state = self.state.borrow_mut();
+        let (segment, runs) = &mut *state;
+        runs.extend(std::mem::take(segment).finish());
         Analysis {
-            runs,
+            runs: std::mem::take(runs),
             dropped_events: 0,
         }
+    }
+}
+
+impl TraceSink for AnalysisSink {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&self, ev: TraceEvent) {
+        self.fold(&ev);
+    }
+}
+
+impl Analysis {
+    /// Analyses a recording, splitting it into segments at every
+    /// [`TraceEvent::Topology`] marker: the events fed one by one
+    /// through an [`AnalysisSink`].
+    pub fn from_events(events: &[TraceEvent]) -> Analysis {
+        let sink = AnalysisSink::new();
+        for e in events {
+            sink.fold(e);
+        }
+        sink.finish()
     }
 
     /// Records how many events the ring recorder overwrote before the
@@ -296,24 +378,6 @@ impl RunAnalysis {
     }
 }
 
-/// Splits a recording into simulation segments: a new segment starts
-/// at every [`TraceEvent::Topology`] marker; events before the first
-/// marker (traces from hand-built event streams or older recordings)
-/// form a leading segment of their own.
-pub fn segment_events(events: &[TraceEvent]) -> Vec<&[TraceEvent]> {
-    let mut cuts = vec![0usize];
-    for (i, e) in events.iter().enumerate() {
-        if matches!(e, TraceEvent::Topology { .. }) && i > 0 {
-            cuts.push(i);
-        }
-    }
-    cuts.push(events.len());
-    cuts.windows(2)
-        .map(|w| &events[w[0]..w[1]])
-        .filter(|s| !s.is_empty())
-        .collect()
-}
-
 /// The rate a flow over `links` gets with the network to itself: the
 /// bottleneck-link capacity. `None` when any link is outside the known
 /// capacity table (re-costing is then impossible).
@@ -365,23 +429,12 @@ fn flow_slowdown(f: &FlowRec, capacities: &[f64]) -> Option<f64> {
     Some(((drained - f.injected) - f.bytes / rate).max(0.0))
 }
 
-fn analyze_segment(events: &[TraceEvent]) -> RunAnalysis {
-    let mut capacities: Vec<f64> = Vec::new();
-    let mut spans: HashMap<u64, SpanRec> = HashMap::new();
-    let mut span_order: Vec<u64> = Vec::new();
-    let mut flows: Vec<FlowRec> = Vec::new();
-    let mut flow_by_id: HashMap<u64, usize> = HashMap::new();
-    // tag -> currently open span claiming that tag.
-    let mut open_tag: HashMap<u64, u64> = HashMap::new();
-    let mut last_t = 0.0_f64;
-    let mut faults = 0usize;
-
-    for e in events {
-        last_t = last_t.max(e.time());
+impl Segment {
+    fn fold(&mut self, e: &TraceEvent) {
+        self.started = true;
+        self.last_t = self.last_t.max(e.time());
         match e {
-            TraceEvent::Topology {
-                capacities: caps, ..
-            } => capacities = caps.to_vec(),
+            TraceEvent::Topology { capacities, .. } => self.capacities = capacities.to_vec(),
             TraceEvent::PhaseBegin {
                 t,
                 track,
@@ -390,33 +443,45 @@ fn analyze_segment(events: &[TraceEvent]) -> RunAnalysis {
                 tag,
                 ..
             } => {
-                spans.insert(
-                    *span,
-                    SpanRec {
-                        label: label.clone(),
-                        track: *track,
-                        begin: *t,
-                        end: *t,
-                        closed: false,
-                        preds: Vec::new(),
-                        flow_idx: Vec::new(),
-                    },
-                );
-                span_order.push(*span);
+                let rec = SpanRec {
+                    id: *span,
+                    label: label.clone(),
+                    track: *track,
+                    begin: *t,
+                    end: *t,
+                    closed: false,
+                    preds: Vec::new(),
+                    flow_idx: Vec::new(),
+                };
+                match self.span_slot.entry(*span) {
+                    Entry::Occupied(slot) => self.spans[*slot.get()] = rec,
+                    Entry::Vacant(slot) => {
+                        slot.insert(self.spans.len());
+                        self.spans.push(rec);
+                    }
+                }
                 if *tag != 0 {
-                    open_tag.insert(*tag, *span);
+                    self.open_tag.insert(*tag, *span);
+                    self.claims.entry(*span).or_default().push(*tag);
                 }
             }
             TraceEvent::PhaseEnd { t, span, .. } => {
-                if let Some(s) = spans.get_mut(span) {
+                if let Some(&i) = self.span_slot.get(span) {
+                    let s = &mut self.spans[i];
                     s.end = (*t).max(s.begin);
                     s.closed = true;
                 }
-                open_tag.retain(|_, v| v != span);
+                // Release the span's tags unless a later span re-claimed
+                // them.
+                for tag in self.claims.remove(span).unwrap_or_default() {
+                    if self.open_tag.get(&tag) == Some(span) {
+                        self.open_tag.remove(&tag);
+                    }
+                }
             }
             TraceEvent::SpanDep { span, pred, .. } => {
-                if let Some(s) = spans.get_mut(span) {
-                    s.preds.push(*pred);
+                if let Some(&i) = self.span_slot.get(span) {
+                    self.spans[i].preds.push(*pred);
                 }
             }
             TraceEvent::FlowInjected {
@@ -427,40 +492,40 @@ fn analyze_segment(events: &[TraceEvent]) -> RunAnalysis {
                 track,
                 links,
             } => {
-                let span_id = if *tag != 0 {
-                    open_tag.get(tag).copied()
+                let span = if *tag != 0 {
+                    self.open_tag
+                        .get(tag)
+                        .and_then(|sid| self.span_slot.get(sid))
+                        .copied()
                 } else {
                     None
                 };
-                let idx = flows.len();
-                flows.push(FlowRec {
+                let idx = self.flows.len();
+                self.flows.push(FlowRec {
                     bytes: *bytes,
                     links: links.clone(),
                     track: *track,
                     injected: *t,
                     drained: None,
                     completed: None,
-                    span: None,
+                    span,
                 });
-                flow_by_id.insert(*id, idx);
-                if let Some(sid) = span_id {
-                    if let Some(s) = spans.get_mut(&sid) {
-                        s.flow_idx.push(idx);
-                        flows[idx].span = Some(span_order.iter().position(|&x| x == sid).unwrap());
-                    }
+                self.flow_by_id.insert(*id, idx);
+                if let Some(s) = span {
+                    self.spans[s].flow_idx.push(idx);
                 }
             }
             TraceEvent::FlowDrained { t, id } => {
-                if let Some(&i) = flow_by_id.get(id) {
-                    flows[i].drained = Some(*t);
+                if let Some(&i) = self.flow_by_id.get(id) {
+                    self.flows[i].drained = Some(*t);
                 }
             }
             TraceEvent::FlowCompleted { t, id, .. } => {
-                if let Some(&i) = flow_by_id.get(id) {
-                    flows[i].completed = Some(*t);
+                if let Some(&i) = self.flow_by_id.get(id) {
+                    self.flows[i].completed = Some(*t);
                 }
             }
-            TraceEvent::Fault { .. } => faults += 1,
+            TraceEvent::Fault { .. } => self.faults += 1,
             TraceEvent::RateEpoch { .. }
             | TraceEvent::LinkUtil { .. }
             | TraceEvent::IterStage { .. }
@@ -468,66 +533,70 @@ fn analyze_segment(events: &[TraceEvent]) -> RunAnalysis {
         }
     }
 
-    // Close truncated spans at the last observed time so downstream
-    // arithmetic stays finite.
-    for s in spans.values_mut() {
-        if !s.closed {
-            s.end = s.end.max(last_t);
+    /// The segment's analysis, or `None` for a segment with no spans,
+    /// flows or makespan.
+    fn finish(mut self) -> Option<RunAnalysis> {
+        if !self.started {
+            return None;
         }
+        // Close truncated spans at the last observed time so downstream
+        // arithmetic stays finite.
+        for s in &mut self.spans {
+            if !s.closed {
+                s.end = s.end.max(self.last_t);
+            }
+        }
+        let mut run = RunAnalysis {
+            flows: self.flows.len(),
+            spans: self.spans.len(),
+            faults: self.faults,
+            ..RunAnalysis::default()
+        };
+        if self.spans.is_empty() {
+            analyze_bare_flows(&self.flows, &self.capacities, &mut run);
+        } else {
+            attribute_critical_path(&self, &mut run);
+        }
+        run.contention = contention_matrix(&self.spans, &self.flows, &self.capacities);
+        (run.makespan > 0.0 || run.spans > 0 || run.flows > 0).then_some(run)
     }
-
-    let mut run = RunAnalysis {
-        flows: flows.len(),
-        spans: spans.len(),
-        faults,
-        ..RunAnalysis::default()
-    };
-
-    if spans.is_empty() {
-        analyze_bare_flows(&flows, &capacities, &mut run);
-    } else {
-        attribute_critical_path(&spans, &flows, &capacities, &mut run);
-    }
-    run.contention = contention_matrix(&spans, &span_order, &flows, &capacities);
-    run
 }
 
 /// Attribution for segments with spans: walk the critical path from
 /// the last-finishing span backwards through latest-finishing
 /// predecessors, charging each covered interval to its span's bucket
 /// (split ideal/contention for communication spans).
-fn attribute_critical_path(
-    spans: &HashMap<u64, SpanRec>,
-    flows: &[FlowRec],
-    capacities: &[f64],
-    run: &mut RunAnalysis,
-) {
+fn attribute_critical_path(seg: &Segment, run: &mut RunAnalysis) {
+    let spans = &seg.spans;
     let last = spans
         .iter()
-        .max_by(|a, b| a.1.end.total_cmp(&b.1.end).then(b.0.cmp(a.0)))
-        .map(|(id, _)| *id);
+        .enumerate()
+        .max_by(|a, b| a.1.end.total_cmp(&b.1.end).then(b.1.id.cmp(&a.1.id)))
+        .map(|(i, _)| i);
     let Some(mut current) = last else { return };
-    run.makespan = spans[&current].end;
+    run.makespan = spans[current].end;
     let mut cursor = run.makespan;
+    let mut visited = vec![false; spans.len()];
 
     loop {
-        let s = &spans[&current];
+        visited[current] = true;
+        let s = &spans[current];
         // An unexplained gap between this span's end and the time the
         // critical successor started.
         if s.end < cursor - T_EPS {
             run.attribution.add(Bucket::Unattributed, cursor - s.end);
             cursor = s.end;
         }
-        let seg = (cursor.min(s.end) - s.begin).max(0.0);
-        if seg > 0.0 {
-            let (ideal, bucket) = span_ideal(s, flows, capacities, seg);
+        let step = (cursor.min(s.end) - s.begin).max(0.0);
+        if step > 0.0 {
+            let (ideal, bucket) = span_ideal(s, &seg.flows, &seg.capacities, step);
             run.attribution.add(bucket, ideal);
-            run.attribution.add(Bucket::Contention, seg - ideal);
+            run.attribution.add(Bucket::Contention, step - ideal);
             run.critical_path.push(CriticalStep {
                 label: s.label.to_string(),
                 track: s.track,
                 begin: s.begin,
-                secs: seg,
+                secs: step,
                 ideal_secs: ideal,
             });
         }
@@ -539,14 +608,16 @@ fn attribute_critical_path(
         let next = s
             .preds
             .iter()
-            .filter_map(|p| spans.get(p).map(|sp| (*p, sp.end)))
-            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
-            .map(|(p, _)| p);
+            .filter_map(|p| seg.span_slot.get(p).map(|&i| (*p, i, spans[i].end)))
+            .max_by(|a, b| a.2.total_cmp(&b.2).then(b.0.cmp(&a.0)))
+            .map(|(_, i, _)| i);
         match next {
-            Some(p) => current = p,
-            None => {
+            Some(i) if !visited[i] => current = i,
+            _ => {
                 // Root span that still started after t = 0 with no
-                // recorded cause.
+                // recorded cause, or a dependency cycle (only damaged
+                // or hand-built streams have one): the rest is
+                // unexplained.
                 run.attribution.add(Bucket::Unattributed, cursor);
                 break;
             }
@@ -620,86 +691,148 @@ fn analyze_bare_flows(flows: &[FlowRec], capacities: &[f64], run: &mut RunAnalys
     run.attribution.add(Bucket::Contention, remaining);
 }
 
+/// One flow's interval on one link: the flow, its route position
+/// (`base[flow] + position`), and its `[injected, drained)` window.
+#[derive(Clone, Copy)]
+struct Interval {
+    flow: usize,
+    pos: usize,
+    start: f64,
+    end: f64,
+}
+
+/// Adds `w` to `label`'s weight in a culprit accumulator.
+fn accumulate(acc: &mut Vec<(u32, f64)>, label: u32, w: f64) {
+    match acc.iter_mut().find(|(l, _)| *l == label) {
+        Some((_, v)) => *v += w,
+        None => acc.push((label, w)),
+    }
+}
+
 /// Builds the per-link contention matrix: overlap seconds per (link,
 /// victim span, culprit span) triple, plus each victim's slowdown
 /// blamed proportionally to overlap.
+///
+/// Labels are interned to ids assigned in string order, so ordering by
+/// id is ordering by label. Per (link, victim flow) the culprit weights
+/// accumulate in pair-enumeration order into a small vector, which is
+/// then sorted by culprit; each victim's slowdown is spread over its
+/// route in route order and culprit order.
 fn contention_matrix(
-    spans: &HashMap<u64, SpanRec>,
-    span_order: &[u64],
+    spans: &[SpanRec],
     flows: &[FlowRec],
     capacities: &[f64],
 ) -> Vec<ContentionEntry> {
-    let label_of = |f: &FlowRec| -> Box<str> {
-        f.span
-            .and_then(|i| span_order.get(i))
-            .and_then(|id| spans.get(id))
-            .map(|s| s.label.clone())
-            .unwrap_or_else(|| format!("untracked ({})", f.track).into())
-    };
+    let untracked: Vec<String> = Track::ALL
+        .iter()
+        .map(|t| format!("untracked ({t})"))
+        .collect();
+    let mut labels: Vec<&str> = spans
+        .iter()
+        .map(|s| &*s.label)
+        .chain(untracked.iter().map(String::as_str))
+        .collect();
+    labels.sort_unstable();
+    labels.dedup();
+    let id_of = |l: &str| labels.binary_search(&l).expect("interned label") as u32;
+    let span_label: Vec<u32> = spans.iter().map(|s| id_of(&s.label)).collect();
+    let untracked_label: Vec<u32> = untracked.iter().map(|l| id_of(l)).collect();
+    let label: Vec<u32> = flows
+        .iter()
+        .map(|f| match f.span {
+            Some(s) => span_label[s],
+            None => untracked_label[f.track.index() as usize],
+        })
+        .collect();
 
-    // Per link: active intervals (flow index, start, end).
-    let mut per_link: HashMap<u32, Vec<(usize, f64, f64)>> = HashMap::new();
+    // Route position `base[i] + p` names flow i's p-th link.
+    let mut base = Vec::with_capacity(flows.len() + 1);
+    base.push(0usize);
+    for f in flows {
+        base.push(base.last().unwrap() + f.links.len());
+    }
+
+    // Per link: active intervals.
+    let mut per_link: HashMap<u32, Vec<Interval>> = HashMap::new();
     for (i, f) in flows.iter().enumerate() {
         let Some(d) = f.drained else { continue };
         if d <= f.injected {
             continue;
         }
-        for &l in f.links.iter() {
-            per_link.entry(l).or_default().push((i, f.injected, d));
+        for (p, &l) in f.links.iter().enumerate() {
+            per_link.entry(l).or_default().push(Interval {
+                flow: i,
+                pos: base[i] + p,
+                start: f.injected,
+                end: d,
+            });
         }
     }
 
-    // (link, victim flow) -> (culprit label -> overlap seconds). The
-    // culprit map is ordered so each victim's `total_w` sums in the
-    // same order in every process.
-    let mut overlap_w: HashMap<(u32, usize), BTreeMap<Box<str>, f64>> = HashMap::new();
-    for (l, intervals) in per_link.iter_mut() {
-        intervals.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        for i in 0..intervals.len() {
-            let (fi, si, ei) = intervals[i];
-            for &(fj, sj, ej) in intervals.iter().skip(i + 1) {
-                if sj >= ei {
-                    break; // sorted by start: nothing later overlaps fi
+    // Culprit weights per (link, victim flow), sorted by culprit label:
+    // `weights[ranges[pos].0..][..ranges[pos].1]` for route position
+    // `pos`. A route that crosses a link twice shares one accumulator
+    // between both positions.
+    let mut weights: Vec<(u32, f64)> = Vec::new();
+    let mut ranges: Vec<(usize, usize)> = vec![(0, 0); *base.last().unwrap()];
+    let mut slot_of: Vec<usize> = Vec::new();
+    let mut accs: Vec<Vec<(u32, f64)>> = Vec::new();
+    for intervals in per_link.values_mut() {
+        intervals.sort_by(|a, b| a.start.total_cmp(&b.start).then(a.flow.cmp(&b.flow)));
+        // One accumulator per distinct flow; a flow's repeated
+        // intervals on this link sort next to each other.
+        slot_of.clear();
+        let mut slots = 0;
+        for (k, iv) in intervals.iter().enumerate() {
+            if k == 0 || intervals[k - 1].flow != iv.flow {
+                slots += 1;
+            }
+            slot_of.push(slots - 1);
+        }
+        if accs.len() < slots {
+            accs.resize_with(slots, Vec::new);
+        }
+        for acc in &mut accs[..slots] {
+            acc.clear();
+        }
+        for (i, a) in intervals.iter().enumerate() {
+            for (j, b) in intervals.iter().enumerate().skip(i + 1) {
+                if b.start >= a.end {
+                    break; // sorted by start: nothing later overlaps a
                 }
-                let ov = ei.min(ej) - sj.max(si);
+                let ov = a.end.min(b.end) - b.start.max(a.start);
                 if ov <= 0.0 {
                     continue;
                 }
-                *overlap_w
-                    .entry((*l, fi))
-                    .or_default()
-                    .entry(label_of(&flows[fj]))
-                    .or_insert(0.0) += ov;
-                *overlap_w
-                    .entry((*l, fj))
-                    .or_default()
-                    .entry(label_of(&flows[fi]))
-                    .or_insert(0.0) += ov;
+                accumulate(&mut accs[slot_of[i]], label[b.flow], ov);
+                accumulate(&mut accs[slot_of[j]], label[a.flow], ov);
+            }
+        }
+        for (k, iv) in intervals.iter().enumerate() {
+            let acc = &mut accs[slot_of[k]];
+            if k == 0 || slot_of[k - 1] != slot_of[k] {
+                acc.sort_unstable_by_key(|&(l, _)| l);
+                ranges[iv.pos] = (weights.len(), acc.len());
+                weights.extend_from_slice(acc);
+            } else {
+                ranges[iv.pos] = ranges[intervals[k - 1].pos];
             }
         }
     }
 
     // Distribute each flow's slowdown over its (link, culprit) overlap
     // weights; accumulate per (link, victim label, culprit label).
-    type CellKey = (u32, Box<str>, Box<str>);
-    let mut cells: HashMap<CellKey, (f64, f64)> = HashMap::new();
+    let mut cells: HashMap<(u32, u32, u32), (f64, f64)> = HashMap::new();
     for (i, f) in flows.iter().enumerate() {
-        let victim = label_of(f);
-        let total_w: f64 = f
-            .links
-            .iter()
-            .filter_map(|l| overlap_w.get(&(*l, i)))
-            .flat_map(|m| m.values())
-            .sum();
+        let culprits = |p: usize| {
+            let (at, len) = ranges[base[i] + p];
+            &weights[at..at + len]
+        };
+        let total_w: f64 = (0..f.links.len()).flat_map(culprits).map(|&(_, w)| w).sum();
         let slowdown = flow_slowdown(f, capacities).unwrap_or(0.0);
-        for &l in f.links.iter() {
-            let Some(m) = overlap_w.get(&(l, i)) else {
-                continue;
-            };
-            for (culprit, w) in m {
-                let cell = cells
-                    .entry((l, victim.clone(), culprit.clone()))
-                    .or_insert((0.0, 0.0));
+        for (p, &l) in f.links.iter().enumerate() {
+            for &(culprit, w) in culprits(p) {
+                let cell = cells.entry((l, label[i], culprit)).or_insert((0.0, 0.0));
                 cell.0 += w;
                 if total_w > 0.0 {
                     cell.1 += slowdown * w / total_w;
@@ -708,27 +841,24 @@ fn contention_matrix(
         }
     }
 
-    let mut out: Vec<ContentionEntry> = cells
+    let mut cells: Vec<_> = cells.into_iter().collect();
+    cells.sort_by(|(ka, a), (kb, b)| {
+        b.1.total_cmp(&a.1)
+            .then(b.0.total_cmp(&a.0))
+            .then(ka.cmp(kb))
+    });
+    cells
         .into_iter()
         .map(
             |((link, victim, culprit), (overlap, slow))| ContentionEntry {
                 link,
-                victim: victim.into(),
-                culprit: culprit.into(),
+                victim: labels[victim as usize].to_string(),
+                culprit: labels[culprit as usize].to_string(),
                 overlap_secs: overlap,
                 slowdown_secs: slow,
             },
         )
-        .collect();
-    out.sort_by(|a, b| {
-        b.slowdown_secs
-            .total_cmp(&a.slowdown_secs)
-            .then(b.overlap_secs.total_cmp(&a.overlap_secs))
-            .then(a.link.cmp(&b.link))
-            .then(a.victim.cmp(&b.victim))
-            .then(a.culprit.cmp(&b.culprit))
-    });
-    out
+        .collect()
 }
 
 #[cfg(test)]
@@ -835,7 +965,7 @@ mod tests {
                 tag: 11,
                 bytes: 100.0,
                 track: Track::Mp,
-                links: Box::new([0]),
+                links: [0].into(),
             },
             TraceEvent::FlowInjected {
                 t: 0.0,
@@ -843,7 +973,7 @@ mod tests {
                 tag: 22,
                 bytes: 100.0,
                 track: Track::Dp,
-                links: Box::new([0]),
+                links: [0].into(),
             },
             TraceEvent::FlowDrained { t: 2.0, id: 0 },
             TraceEvent::FlowDrained { t: 2.0, id: 1 },
@@ -928,7 +1058,7 @@ mod tests {
                 tag: 0,
                 bytes: 200.0,
                 track: Track::Bulk,
-                links: Box::new([0]),
+                links: [0].into(),
             },
             TraceEvent::FlowDrained { t: 2.0, id: 0 },
             TraceEvent::FlowCompleted {
@@ -946,6 +1076,25 @@ mod tests {
         assert!((r.attribution.get(Bucket::CommBulk) - 2.5).abs() < 1e-9);
         assert_eq!(r.attribution.get(Bucket::Contention), 0.0);
         assert!((r.attribution.total() - r.makespan).abs() < 1e-9);
+    }
+
+    #[test]
+    fn dependency_cycle_ends_the_walk() {
+        // a <-> b: a damaged stream whose walk would revisit spans
+        // forever; the walk stops at the revisit and the sum holds.
+        let evs = vec![
+            begin(1.0, Track::Compute, 1, "a", 0),
+            dep(1.0, 1, 2),
+            end(2.0, Track::Compute, 1),
+            begin(2.0, Track::Compute, 2, "b", 0),
+            dep(2.0, 2, 1),
+            end(3.0, Track::Compute, 2),
+        ];
+        let r = &Analysis::from_events(&evs).runs[0];
+        assert_eq!(r.critical_path.len(), 2);
+        assert!((r.attribution.get(Bucket::Compute) - 2.0).abs() < 1e-12);
+        assert!((r.attribution.get(Bucket::Unattributed) - 1.0).abs() < 1e-12);
+        assert!((r.attribution.total() - r.makespan).abs() < 1e-12);
     }
 
     #[test]

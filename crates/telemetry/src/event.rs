@@ -5,11 +5,12 @@
 //! crate depending on any of them. [`TraceEvent::FlowDrained`],
 //! [`TraceEvent::FlowCompleted`], [`TraceEvent::RateEpoch`] and
 //! [`TraceEvent::LinkUtil`] are `Copy` data end to end;
-//! [`TraceEvent::FlowInjected`] carries its route (one small boxed
+//! [`TraceEvent::FlowInjected`] carries its route (one small shared
 //! slice per flow) so the analysis layer can re-cost every flow at its
 //! contention-free rate and attribute link contention to phase pairs.
 
 use std::fmt;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which display track an event belongs to — one per parallelism
@@ -112,8 +113,10 @@ pub enum TraceEvent {
         bytes: f64,
         /// Priority-derived track.
         track: Track,
-        /// Route as link indices (`LinkId.0`), in traversal order.
-        links: Box<[u32]>,
+        /// Route as link indices (`LinkId.0`), in traversal order. One
+        /// shared allocation per flow: sinks that fan out, copy or keep
+        /// the event clone the pointer, not the route.
+        links: Rc<[u32]>,
     },
     /// A flow pushed its last byte (stops consuming bandwidth).
     FlowDrained {
@@ -284,7 +287,7 @@ mod tests {
                 tag: 0,
                 bytes: 1.0,
                 track: Track::Mp,
-                links: Box::new([0]),
+                links: [0].into(),
             },
             TraceEvent::FlowDrained { t: 2.0, id: 0 },
             TraceEvent::FlowCompleted {

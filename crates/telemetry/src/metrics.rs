@@ -384,7 +384,7 @@ mod tests {
                 tag: 0,
                 bytes: 2e9,
                 track: Track::Dp,
-                links: Box::new([2, 3]),
+                links: [2, 3].into(),
             },
             TraceEvent::RateEpoch {
                 t: 0.0,

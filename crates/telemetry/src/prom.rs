@@ -322,7 +322,7 @@ mod tests {
             tag: 7,
             bytes: 1e6,
             track: crate::event::Track::Dp,
-            links: Box::new([0]),
+            links: [0].into(),
         });
         r.record(TraceEvent::FlowCompleted {
             t: 0.9,

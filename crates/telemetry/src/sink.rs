@@ -78,8 +78,12 @@ pub struct RingRecorder {
 }
 
 impl RingRecorder {
-    /// Default ring capacity: plenty for any single figure experiment
-    /// while bounding worst-case memory to ~100 MB of events.
+    /// Default ring capacity: 2^20 events, bounding worst-case memory
+    /// to ~100 MB. Whole figure runs can exceed it (the 12 Fig 10
+    /// simulations emit ~2.2 M events), and then only the most recent
+    /// events survive; analysis streams through
+    /// [`AnalysisSink`](crate::analysis::AnalysisSink) instead and
+    /// needs no ring.
     pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
     /// Creates a recorder holding at most `cap` events (the most
